@@ -19,7 +19,7 @@
 //! |-------------------|-------------|----------------------------------------------------------|
 //! | `detect`          | CQA pipeline| conflict-detection shard loops (`detect.rs`)             |
 //! | `envelope`        | CQA pipeline| the candidate query's executor loops (engine `exec.rs`)  |
-//! | `corefilter`      | CQA pipeline| the core-filter probe (`corefilter.rs`)                  |
+//! | `corefilter`      | CQA pipeline| once before the prover shards, full mode (`hippo.rs`)    |
 //! | `membership`      | CQA pipeline| base-mode membership probing (`kg.rs`)                   |
 //! | `prover`          | CQA pipeline| the per-candidate prover shard loops (`hippo.rs`)        |
 //! | `wal:append`      | durability  | before WAL bytes are written (`server/wal.rs`)           |

@@ -14,6 +14,37 @@
 //!
 //! By induction this yields `F(D) ⊆ Q(D')` for every repair `D'`, i.e.
 //! every filtered tuple is a consistent answer.
+//!
+//! # Per-candidate form (the answer path)
+//!
+//! The answer pipeline never materialises `F(D)`. An SJUD query has no
+//! projection, so a candidate `t` names every fact its membership in
+//! `F(D)` depends on: the literals of the query's
+//! [`crate::formula::MembershipTemplate`], instantiated with slices of
+//! `t`. Membership in `F(D)` is then the template formula evaluated with
+//! polarity ([`crate::prover::Prover::core_accepts`]):
+//!
+//! * a literal in positive position holds iff its fact is in `D` (the
+//!   knowledge-gathering flag) and carries no conflicting vertex — the
+//!   fact is in the core;
+//! * under a `Not` (a subtracted branch) a literal reads the flag alone
+//!   — the branch is judged on the full instance;
+//! * a `Not` nested inside a subtracted branch is `true`, which is the
+//!   envelope rule `env(a − b) = env(a)`;
+//! * guards (selections, permutation consistency) evaluate on `t`.
+//!
+//! Each case mirrors one case of the set form below, by induction on the
+//! query, so the two agree on every candidate. And since
+//! `F(D) ⊆ env(Q)(D)`, testing only the envelope's candidates loses
+//! nothing. The test costs O(literals) hash probes per candidate and runs
+//! inside the prover shards, before the signature cache and the prover.
+//!
+//! Both forms compare facts by value, NULLs included: the flags are
+//! value-equality membership (see [`crate::kg`]), as are the core and the
+//! set form's row sets.
+//!
+//! [`core_filter_direct`] keeps the set form as the reference the
+//! per-candidate test is checked against in the tests.
 
 use crate::envelope::envelope;
 use crate::hypergraph::ConflictHypergraph;
@@ -82,171 +113,13 @@ fn eval_filter(
     }
 }
 
-/// Convenience wrapper over a catalog + hypergraph: sorted row list
-/// (direct evaluation; fine for small inputs and used as the test
-/// oracle for the SQL path). Thin ordering shim over
-/// [`core_filter_set`] so the SQL-error fallback lives in one place.
-pub fn core_filter_on_catalog(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-) -> Vec<Row> {
-    let mut rows: Vec<Row> = core_filter_set(q, catalog, g).into_iter().collect();
-    rows.sort();
-    rows
-}
-
-/// The core filter as the probe set the **answer pipeline** shares
-/// read-only across its prover shards (each shard tests its candidates
-/// against this set and skips the prover on a hit). Skips the
-/// row-list API's final sort — set membership is all the shards need.
-pub fn core_filter_set(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> FxHashSet<Row> {
-    match core_filter_via_sql(q, catalog, g) {
-        Ok(rows) => rows.into_iter().collect(),
-        Err(_) => {
-            let core = crate::repair::core_instance(catalog, g);
-            let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
-            eval_filter(q, &core, &full).into_iter().collect()
-        }
-    }
-}
-
-/// [`core_filter_set`] under per-call governance: the scratch-database
-/// SQL evaluation runs with the call's budget (stage `"corefilter"`),
-/// the fault checkpoint fires first, and the direct-eval fallback
-/// charges its materialised rows. A *governance* trip propagates — it
-/// must not silently fall back to an ungoverned evaluation — while any
-/// other SQL-path error still falls back exactly like the ungoverned
-/// entry point.
-pub fn core_filter_set_governed(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-    gov: &crate::budget::Governance,
-) -> Result<FxHashSet<Row>, hippo_engine::EngineError> {
-    if !gov.active() {
-        return Ok(core_filter_set(q, catalog, g));
-    }
-    gov.checkpoint("corefilter", 0)?;
-    match core_filter_via_sql_governed(q, catalog, g, gov.budget_ref()) {
-        Ok(rows) => Ok(rows.into_iter().collect()),
-        Err(e) if e.is_governance() => Err(e),
-        Err(_) => {
-            let core = crate::repair::core_instance(catalog, g);
-            let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
-            let rows = eval_filter(q, &core, &full);
-            if let Some(b) = gov.budget_ref() {
-                b.charge_rows(rows.len() as u64);
-                b.check("corefilter")?;
-            }
-            Ok(rows.into_iter().collect())
-        }
-    }
-}
-
-/// Direct (nested-loop) evaluation over instance views — the reference
-/// implementation the SQL path is checked against in tests.
+/// Direct (nested-loop) evaluation of the set form over instance views:
+/// the sorted filter rows. The test oracle for
+/// [`crate::prover::Prover::core_accepts`].
 pub fn core_filter_direct(q: &SjudQuery, catalog: &Catalog, g: &ConflictHypergraph) -> Vec<Row> {
     let core = crate::repair::core_instance(catalog, g);
     let full = |rel: &str| catalog.table(rel).map(|t| t.rows()).unwrap_or_default();
     core_filter_rows(q, &core, &full)
-}
-
-/// Evaluate the core filter through the SQL engine: the conflict-free core
-/// and the full contents of each referenced relation are materialised into
-/// a scratch database (`core_<rel>` / `full_<rel>`), the filter expression
-/// is rewritten over those names, rendered to SQL, and executed — so joins
-/// inside the filter benefit from the engine's hash joins instead of the
-/// direct evaluator's nested loops.
-pub fn core_filter_via_sql(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-) -> Result<Vec<Row>, hippo_engine::EngineError> {
-    core_filter_via_sql_governed(q, catalog, g, None)
-}
-
-/// [`core_filter_via_sql`] with an optional budget: the scratch query
-/// executes under it (stage `"corefilter"`), so a long-running filter
-/// join observes deadlines and row budgets cooperatively. `None` takes
-/// the exact ungoverned path.
-pub fn core_filter_via_sql_governed(
-    q: &SjudQuery,
-    catalog: &Catalog,
-    g: &ConflictHypergraph,
-    budget: Option<&hippo_engine::Budget>,
-) -> Result<Vec<Row>, hippo_engine::EngineError> {
-    use hippo_engine::Database;
-    let core = crate::repair::core_instance(catalog, g);
-    let mut scratch = Database::new();
-    for rel in q.relations() {
-        let table = catalog.table(&rel)?;
-        let mut schema = table.schema.clone();
-        schema.name = format!("core_{rel}");
-        scratch.catalog_mut().create_table(schema)?;
-        scratch.insert_rows(&format!("core_{rel}"), core(&rel))?;
-        let mut schema = table.schema.clone();
-        schema.name = format!("full_{rel}");
-        scratch.catalog_mut().create_table(schema)?;
-        scratch.insert_rows(&format!("full_{rel}"), table.rows())?;
-    }
-    let filter_query = filter_expression(q);
-    let sql = filter_query.to_sql(scratch.catalog())?;
-    let mut rows = scratch.query_governed(&sql, budget, "corefilter")?.rows;
-    rows.sort();
-    rows.dedup();
-    Ok(rows)
-}
-
-/// The filter as a plain SJUD expression over `core_*` / `full_*`
-/// relations: positive leaves read the core, subtracted branches read the
-/// envelope over the full instance.
-fn filter_expression(q: &SjudQuery) -> SjudQuery {
-    fn rename(q: &SjudQuery, prefix: &str) -> SjudQuery {
-        match q {
-            SjudQuery::Rel(r) => SjudQuery::Rel(format!("{prefix}_{r}")),
-            SjudQuery::Select { input, pred } => SjudQuery::Select {
-                input: Box::new(rename(input, prefix)),
-                pred: pred.clone(),
-            },
-            SjudQuery::Product(l, r) => {
-                SjudQuery::Product(Box::new(rename(l, prefix)), Box::new(rename(r, prefix)))
-            }
-            SjudQuery::Union(l, r) => {
-                SjudQuery::Union(Box::new(rename(l, prefix)), Box::new(rename(r, prefix)))
-            }
-            SjudQuery::Diff(l, r) => {
-                SjudQuery::Diff(Box::new(rename(l, prefix)), Box::new(rename(r, prefix)))
-            }
-            SjudQuery::Permute { input, perm } => SjudQuery::Permute {
-                input: Box::new(rename(input, prefix)),
-                perm: perm.clone(),
-            },
-        }
-    }
-    match q {
-        SjudQuery::Rel(r) => SjudQuery::Rel(format!("core_{r}")),
-        SjudQuery::Select { input, pred } => SjudQuery::Select {
-            input: Box::new(filter_expression(input)),
-            pred: pred.clone(),
-        },
-        SjudQuery::Product(l, r) => SjudQuery::Product(
-            Box::new(filter_expression(l)),
-            Box::new(filter_expression(r)),
-        ),
-        SjudQuery::Union(l, r) => SjudQuery::Union(
-            Box::new(filter_expression(l)),
-            Box::new(filter_expression(r)),
-        ),
-        SjudQuery::Diff(l, r) => SjudQuery::Diff(
-            Box::new(filter_expression(l)),
-            Box::new(rename(&envelope(r), "full")),
-        ),
-        SjudQuery::Permute { input, perm } => SjudQuery::Permute {
-            input: Box::new(filter_expression(input)),
-            perm: perm.clone(),
-        },
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +163,7 @@ mod tests {
         let fd = [DenialConstraint::functional_dependency("emp", &[0], 1)];
         let (g, _) = detect_conflicts(db.catalog(), &fd).unwrap();
         let q = SjudQuery::rel("emp");
-        let rows = core_filter_on_catalog(&q, db.catalog(), &g);
+        let rows = core_filter_direct(&q, db.catalog(), &g);
         assert_eq!(rows, vec![vec![Value::text("bob"), Value::Int(300)]]);
     }
 
@@ -305,7 +178,7 @@ mod tests {
             CmpOp::Lt,
             150i64,
         )));
-        let filtered = core_filter_on_catalog(&q, db.catalog(), &g);
+        let filtered = core_filter_direct(&q, db.catalog(), &g);
         // Every filtered tuple must be verified consistent by the prover.
         let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
         let mut prover = Prover::new(&g, &template);
@@ -330,7 +203,7 @@ mod tests {
         let fd = [DenialConstraint::functional_dependency("emp", &[0], 1)];
         let (g, _) = detect_conflicts(db.catalog(), &fd).unwrap();
         let q = SjudQuery::rel("emp").select(Pred::cmp_const(1, CmpOp::Ge, 200i64));
-        let filtered = core_filter_on_catalog(&q, db.catalog(), &g);
+        let filtered = core_filter_direct(&q, db.catalog(), &g);
         let direct = q.eval_on_catalog(db.catalog()).unwrap();
         assert_eq!(filtered, direct, "no conflicts → filter is exact");
     }
@@ -341,71 +214,10 @@ mod tests {
         let fd = [DenialConstraint::functional_dependency("emp", &[0], 1)];
         let (g, _) = detect_conflicts(db.catalog(), &fd).unwrap();
         let q = SjudQuery::rel("emp").product(SjudQuery::rel("emp"));
-        let rows = core_filter_on_catalog(&q, db.catalog(), &g);
+        let rows = core_filter_direct(&q, db.catalog(), &g);
         assert_eq!(rows.len(), 1, "only bob×bob survives the core");
         let q = SjudQuery::rel("emp").union(SjudQuery::rel("emp"));
-        let rows = core_filter_on_catalog(&q, db.catalog(), &g);
+        let rows = core_filter_direct(&q, db.catalog(), &g);
         assert_eq!(rows.len(), 1);
-    }
-}
-
-#[cfg(test)]
-mod sql_path_tests {
-    use super::*;
-    use crate::constraint::DenialConstraint;
-    use crate::detect::detect_conflicts;
-    use crate::pred::{CmpOp, Pred};
-    use hippo_engine::{Column, DataType, Database, TableSchema, Value};
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        for name in ["t", "u"] {
-            db.catalog_mut()
-                .create_table(
-                    TableSchema::new(
-                        name,
-                        vec![
-                            Column::new("k", DataType::Int),
-                            Column::new("v", DataType::Int),
-                        ],
-                        &[],
-                    )
-                    .unwrap(),
-                )
-                .unwrap();
-        }
-        let rows = |xs: &[(i64, i64)]| {
-            xs.iter()
-                .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
-                .collect()
-        };
-        db.insert_rows("t", rows(&[(1, 10), (1, 20), (2, 30), (3, 40), (3, 40)]))
-            .unwrap();
-        db.insert_rows("u", rows(&[(2, 30), (9, 90)])).unwrap();
-        db
-    }
-
-    #[test]
-    fn sql_path_matches_direct_path() {
-        let db = db();
-        let constraints = [DenialConstraint::functional_dependency("t", &[0], 1)];
-        let (g, _) = detect_conflicts(db.catalog(), &constraints).unwrap();
-        let queries = vec![
-            SjudQuery::rel("t"),
-            SjudQuery::rel("t").select(Pred::cmp_const(1, CmpOp::Ge, 20i64)),
-            SjudQuery::rel("t").diff(SjudQuery::rel("u")),
-            SjudQuery::rel("t").union(SjudQuery::rel("u")),
-            SjudQuery::rel("t")
-                .product(SjudQuery::rel("u"))
-                .select(Pred::cmp_cols(0, CmpOp::Eq, 2)),
-            SjudQuery::rel("t")
-                .permute(vec![1, 0])
-                .diff(SjudQuery::rel("u").permute(vec![1, 0])),
-        ];
-        for q in queries {
-            let direct = core_filter_direct(&q, db.catalog(), &g);
-            let via_sql = core_filter_via_sql(&q, db.catalog(), &g).unwrap();
-            assert_eq!(via_sql, direct, "mismatch for {q}");
-        }
     }
 }

@@ -163,7 +163,8 @@ fn build_rec(
             // Output column i = input column perm[i]; candidate position of
             // output column i is mapping[i]. For the inverse image, input
             // column j gets the candidate position of any i with perm[i]=j;
-            // duplicated occurrences must agree (consistency guards).
+            // duplicated occurrences must agree (consistency guards, by
+            // value: two copies of a NULL agree).
             let in_arity = input.validate(catalog)?;
             let mut inv: Vec<Option<usize>> = vec![None; in_arity];
             let mut guards = Pred::True;
@@ -171,8 +172,7 @@ fn build_rec(
                 match inv[j] {
                     None => inv[j] = Some(mapping[i]),
                     Some(first) => {
-                        guards =
-                            guards.and(Pred::cmp_cols(first, crate::pred::CmpOp::Eq, mapping[i]));
+                        guards = guards.and(Pred::Same(first, mapping[i]));
                     }
                 }
             }

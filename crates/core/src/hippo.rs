@@ -3,8 +3,8 @@
 //! passes through (see [`crate::budget`]):
 //!
 //! ```text
-//! Query ──▶ Enveloping ──▶ Candidates(SQL) ──▶ Evaluation (RDBMS) ──▶ Prover ──▶ Answer Set
-//!                              ◆ "envelope"       ◆ "corefilter"   ◆ "prover" / "membership"
+//! Query ──▶ Enveloping ──▶ Candidates(SQL) ──▶ Evaluation (RDBMS) ──▶ [core test ▶] Prover ──▶ Answer Set
+//!                              ◆ "envelope"       ◆ "corefilter"      ◆ "prover" / "membership"
 //!                              └─ vectorized scans (column batches)
 //!                                 when the engine's columnar store is on
 //! IC, DB ──▶ Conflict Detection ──▶ Conflict Hypergraph (main memory) ──▶ Prover
@@ -33,14 +33,19 @@
 //! [`Hippo::new`] performs conflict detection once; each
 //! [`Hippo::consistent_answers`] run envelopes the query, evaluates the
 //! candidates on the SQL backend, and filters them through the Prover.
-//! [`HippoOptions`] selects the optimization level:
+//! [`HippoOptions::level`] selects the rung of the optimization ladder
+//! ([`OptLevel`]):
 //!
-//! * **base** — the prover issues one SQL membership query per literal
+//! * **base** — the prover issues one membership probe per literal
 //!   check (the costly behaviour the paper describes);
 //! * **knowledge gathering** — the envelope is extended to prefetch every
 //!   membership flag; zero membership queries;
-//! * **core filter** — additionally, tuples provably consistent from the
-//!   conflict-free core skip the prover.
+//! * **full** — additionally, candidates provably consistent from the
+//!   conflict-free core skip the prover. The core filter is a
+//!   per-candidate test over the prefetched flags and the hypergraph's
+//!   fact index ([`crate::corefilter`]), O(literals) per candidate, run
+//!   inside the prover shards. Only its `"corefilter"` checkpoint runs
+//!   before them, so full mode does no per-call work beyond KG's.
 //!
 //! # The shard → merge answer pipeline
 //!
@@ -56,7 +61,7 @@
 //!   ┌─ shard 0 ─┐┌─ shard 1 ─┐        …   ┌─ shard 15 ─┐ HIPPO_PROVER_THREADS
 //!   │ ◆ entry   ││           │             │            │ (panic-isolated:
 //!   │ dedup     ││   (same)  │             │   (same)   │  a crash poisons
-//!   │ core probe││           │             │            │  one slot, the
+//!   │ core test ││           │             │            │  one slot, the
 //!   │ flags:    ││           │             │            │  siblings drain)
 //!   │  KG: rows ││           │             │            │
 //!   │  base:    │→ one frozen DbSnapshot Arc, prepared ←│
@@ -71,7 +76,7 @@
 //! ```
 //!
 //! There is **no serial prefix beyond candidate collection**: dedup,
-//! the core-filter probe, membership resolution and the prover all run
+//! the core-filter test, membership resolution and the prover all run
 //! inside the shards. Knowledge-gathering mode reads prefetched flag
 //! rows; **base mode** — the paper's canonical per-check-SQL
 //! configuration — resolves its membership probes against one
@@ -145,7 +150,6 @@
 
 use crate::budget::{trip_stage, Budget, CancelHandle, Completeness, ConsistentAnswer, Governance};
 use crate::constraint::DenialConstraint;
-use crate::corefilter::core_filter_set_governed;
 use crate::detect::{
     build_gen_index, detect_with_index, fd_delta_delete, fd_delta_insert, general_delta_insert,
     DetectIndex, DetectOptions, DetectStats,
@@ -153,7 +157,9 @@ use crate::detect::{
 use crate::envelope::envelope;
 use crate::formula::MembershipTemplate;
 use crate::hypergraph::{ConflictHypergraph, FactId, Vertex};
-use crate::kg::{extended_envelope_sql, split_gathered, GatheredMembership, MemoSqlMembership};
+use crate::kg::{
+    extended_envelope_sql, settle_null_flags, split_gathered, GatheredMembership, MemoSqlMembership,
+};
 use crate::parallel;
 use crate::prover::{Prover, ProverRunStats};
 use crate::query::SjudQuery;
@@ -192,6 +198,21 @@ pub struct GovernanceOptions {
     faults: Option<Arc<crate::budget::FaultPlan>>,
 }
 
+/// The rung of the paper's optimization ladder an answer run uses. Each
+/// rung adds one optimization on top of the previous one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OptLevel {
+    /// The prover resolves each membership check through a base-mode
+    /// probe against a frozen snapshot.
+    Base,
+    /// Knowledge gathering: the envelope query prefetches every
+    /// membership flag, so the prover issues no probes.
+    Kg,
+    /// Knowledge gathering plus the core filter: candidates the
+    /// per-candidate core test accepts skip the prover.
+    Full,
+}
+
 /// Optimization switches.
 #[derive(Debug, Clone)]
 pub struct HippoOptions {
@@ -201,11 +222,13 @@ pub struct HippoOptions {
     /// code path, so answers *and stats* are bit-identical to a build
     /// without governance.
     pub governance: GovernanceOptions,
-    /// Prefetch membership flags in the envelope query (knowledge
-    /// gathering) instead of issuing per-check SQL queries.
-    pub knowledge_gathering: bool,
-    /// Skip the prover for tuples caught by the core filter.
-    pub core_filter: bool,
+    /// The optimization rung: [`OptLevel::Base`], [`OptLevel::Kg`]
+    /// (prefetch membership flags in the envelope query instead of
+    /// probing per check) or [`OptLevel::Full`] (additionally skip the
+    /// prover for candidates the core filter accepts). The core filter
+    /// reads the prefetched flags, so it exists only on top of knowledge
+    /// gathering.
+    pub level: OptLevel,
     /// Worker threads for the answer pipeline's prover stage; `0` =
     /// auto (the `HIPPO_PROVER_THREADS` environment variable if set,
     /// else available parallelism). Every mode shards: knowledge
@@ -233,8 +256,7 @@ impl HippoOptions {
     pub fn base() -> Self {
         HippoOptions {
             governance: GovernanceOptions::default(),
-            knowledge_gathering: false,
-            core_filter: false,
+            level: OptLevel::Base,
             prover_threads: 0,
             prover_cache: true,
             index_probes: true,
@@ -244,7 +266,7 @@ impl HippoOptions {
     /// Knowledge gathering only.
     pub fn kg() -> Self {
         HippoOptions {
-            knowledge_gathering: true,
+            level: OptLevel::Kg,
             ..HippoOptions::base()
         }
     }
@@ -252,8 +274,8 @@ impl HippoOptions {
     /// Knowledge gathering + core filter (the fully optimized system).
     pub fn full() -> Self {
         HippoOptions {
-            core_filter: true,
-            ..HippoOptions::kg()
+            level: OptLevel::Full,
+            ..HippoOptions::base()
         }
     }
 
@@ -426,16 +448,15 @@ pub struct AnswerStats {
     pub degraded: bool,
     /// Time enveloping + evaluating candidates.
     pub t_envelope: Duration,
-    /// Time in the core filter.
+    /// Time in the core-filter stage before the shards: only its
+    /// governance checkpoint. The per-candidate core test runs inside
+    /// the shards, so its time is part of [`AnswerStats::t_prover`].
     pub t_filter: Duration,
     /// Time proving.
     pub t_prover: Duration,
     /// Total wall-clock for the run.
     pub t_total: Duration,
 }
-
-/// Former name of [`AnswerStats`].
-pub type RunStats = AnswerStats;
 
 impl fmt::Display for AnswerStats {
     /// One-line report, symmetric across modes: shard count, cache hit
@@ -1505,13 +1526,14 @@ fn answers_pipeline(
     let te = Instant::now();
     let env_res: Result<_, EngineError> = (|| {
         gov.checkpoint("envelope", 0)?;
-        if options.knowledge_gathering {
+        if options.level != OptLevel::Base {
             let sql_q = extended_envelope_sql(&env, &template, backend.catalog())?;
             let sql = hippo_sql::print_query(&sql_q);
             let rows = backend
                 .query_governed(&sql, gov.budget_ref(), "envelope")?
                 .rows;
-            let gathered = split_gathered(rows, arity, template.literals.len());
+            let mut gathered = split_gathered(rows, arity, template.literals.len());
+            settle_null_flags(&mut gathered, &template, backend.catalog())?;
             Ok((gathered.candidates, Some(gathered.flags)))
         } else {
             let sql = env.to_sql(backend.catalog())?;
@@ -1531,25 +1553,24 @@ fn answers_pipeline(
     stats.candidates = candidates.len();
     stats.t_envelope = te.elapsed();
 
-    // ---- Core filter (optional): compute the accepting set ----
+    // ---- Core filter: only its checkpoint runs here; the test itself
+    // is per candidate, inside the shards ----
     let tf = Instant::now();
-    let filtered: Option<FxHashSet<Row>> = if options.core_filter {
-        match core_filter_set_governed(query, backend.catalog(), graph, gov) {
-            Ok(set) => Some(set),
-            Err(e) if gov.degraded && e.is_governance() => {
+    let core_filter = options.level == OptLevel::Full;
+    if core_filter {
+        if let Err(e) = gov.checkpoint("corefilter", 0) {
+            if gov.degraded && e.is_governance() {
                 return Ok(truncated(stats, &e, gov, t0));
             }
-            Err(e) => return Err(e),
+            return Err(e);
         }
-    } else {
-        None
-    };
+    }
     stats.t_filter = tf.elapsed();
 
     // ---- Sharded answer stage ----
     //
     // No serial prefix beyond candidate collection: dedup, the
-    // core-filter probe and the prover all run inside the shards.
+    // core-filter test and the prover all run inside the shards.
     // Dedup is shard-local (a duplicate crossing a shard boundary is
     // decided twice and collapsed by the final sort+dedup — the
     // envelope is set-semantics, so this is a belt-and-braces case),
@@ -1578,7 +1599,7 @@ fn answers_pipeline(
         candidates: &candidates,
         flags: flags.as_deref(),
         snapshot: snapshot.as_ref(),
-        filtered: filtered.as_ref(),
+        core_flags: if core_filter { flags.as_deref() } else { None },
         use_cache,
         index_probes: options.index_probes,
         persistent: persistent.as_deref(),
@@ -1702,8 +1723,7 @@ fn truncated(
 /// Read-only state shared by every shard of one answer run. Everything
 /// here is `Sync`: the frozen graph, the compiled template, the
 /// candidate rows, the prefetched flag matrix (KG mode) *or* the frozen
-/// database snapshot (base mode), the core-filter accepting set, and
-/// the previous calls' verdict map.
+/// database snapshot (base mode), and the previous calls' verdict map.
 struct ShardInput<'a> {
     graph: &'a ConflictHypergraph,
     template: &'a MembershipTemplate,
@@ -1712,8 +1732,9 @@ struct ShardInput<'a> {
     flags: Option<&'a [Vec<bool>]>,
     /// Base mode: the snapshot all shards issue membership SQL against.
     snapshot: Option<&'a DbSnapshot>,
-    /// Core-filter accepting set (candidates in it skip the prover).
-    filtered: Option<&'a FxHashSet<Row>>,
+    /// Full mode only: the prefetched flags the per-candidate core test
+    /// reads; candidates it accepts skip the prover.
+    core_flags: Option<&'a [Vec<bool>]>,
     use_cache: bool,
     /// Base mode: let the prepared probes use index access paths.
     index_probes: bool,
@@ -1724,10 +1745,11 @@ struct ShardInput<'a> {
     gov: &'a Governance,
 }
 
-/// Decide the candidate slice `lo..hi`: dedup (shard-local), probe the
-/// core filter, resolve membership flags (prefetched in KG mode,
-/// memoized snapshot SQL in base mode), then decide by signature cache
-/// or prover run. Runs on a worker thread; mutates nothing shared.
+/// Decide the candidate slice `lo..hi`: dedup (shard-local), run the
+/// per-candidate core test (full mode), resolve membership flags
+/// (prefetched in KG mode, memoized snapshot SQL in base mode), then
+/// decide by signature cache or prover run. Runs on a worker thread;
+/// mutates nothing shared.
 ///
 /// Governance: the shard checkpoints at entry (fault-injection point
 /// `("prover", si)`) and ticks the budget per candidate. In degraded
@@ -1762,6 +1784,7 @@ fn prove_shard(
         None => None,
     };
     let mut flag_buf: Vec<bool> = Vec::new();
+    let mut facts: Vec<Option<FactId>> = Vec::new();
     // Cooperative per-candidate checkpoint, flattened by hand: one
     // local increment and a predicted branch per candidate; every
     // CHECK_STRIDE candidates the locally-accumulated row charges are
@@ -1790,12 +1813,18 @@ fn prove_shard(
         if !seen.insert(cand) {
             continue; // duplicate candidate within the shard
         }
-        if let Some(f) = input.filtered {
-            if f.contains(cand) {
-                out.filtered_consistent += 1;
-                out.accepted.push(i as u32);
-                continue;
-            }
+        // One hypergraph probe per literal, read by the core test and
+        // the signature alike.
+        if input.use_cache || input.core_flags.is_some() {
+            prover.literal_facts(cand, &mut facts);
+        }
+        if input
+            .core_flags
+            .is_some_and(|fl| prover.core_accepts(cand, &fl[i], &facts))
+        {
+            out.filtered_consistent += 1;
+            out.accepted.push(i as u32);
+            continue;
         }
         out.prover_calls += 1;
         pending_rows += 1;
@@ -1824,7 +1853,7 @@ fn prove_shard(
             }
         };
         let ok = if input.use_cache {
-            prover.closure_signature(cand, cand_flags, &mut sig);
+            prover.closure_signature(cand, cand_flags, &facts, &mut sig);
             if let Some(&v) = local.get(&sig) {
                 out.cache_hits += 1;
                 v

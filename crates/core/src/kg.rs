@@ -19,13 +19,24 @@
 //! memoized so the shard pays one probe per distinct fact instead of
 //! one per check. No SQL text is rendered, parsed or optimized on the
 //! hot path.
+//!
+//! # NULL-bearing facts
+//!
+//! Membership is **value equality**: a fact holding a NULL is in `D` iff
+//! an identical row is — the semantics of repairs, and of set difference.
+//! SQL `=` never matches a NULL, so every source decides NULL-free facts
+//! through its equality lookup and settles NULL-bearing ones directly:
+//! [`settle_null_flags`] re-decides the extended envelope's false flags,
+//! the prepared probes of [`MemoSqlMembership`] fall back to a scan of
+//! the relation, and the per-check SQL probe renders `col IS NULL`.
 
 use crate::formula::{LitTemplate, MembershipTemplate};
 use crate::pred::value_to_sql;
 use crate::prover::MembershipSource;
 use crate::query::SjudQuery;
-use hippo_engine::{Catalog, EngineError, Row};
+use hippo_engine::{Catalog, EngineError, Row, Value};
 use hippo_sql::{Expr, Query, SelectCore, SelectItem, TableRef};
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Build the extended envelope query: envelope columns `c0..c{n-1}` plus
 /// one membership flag `f0..f{m-1}` per literal template.
@@ -106,6 +117,42 @@ pub fn split_gathered(rows: Vec<Row>, arity: usize, n_literals: usize) -> Gather
         flags.push(f);
     }
     GatheredCandidates { candidates, flags }
+}
+
+/// Settle the flags of NULL-bearing facts (see the module doc): the
+/// extended envelope's `EXISTS` leaves each one false, so each false flag
+/// whose fact holds a NULL is re-decided against the set of the
+/// relation's NULL-bearing rows, built on first use. NULL-free instances
+/// pay one pass over the false flags.
+pub fn settle_null_flags(
+    gathered: &mut GatheredCandidates,
+    template: &MembershipTemplate,
+    catalog: &Catalog,
+) -> Result<(), EngineError> {
+    let mut null_rows: FxHashMap<&str, FxHashSet<&[Value]>> = FxHashMap::default();
+    let mut fact = Row::new();
+    for (cand, flags) in gathered.candidates.iter().zip(&mut gathered.flags) {
+        for (li, lit) in template.literals.iter().enumerate() {
+            if flags[li] || !lit.cols.iter().any(|&c| cand[c].is_null()) {
+                continue;
+            }
+            let rows = match null_rows.entry(&lit.rel) {
+                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                std::collections::hash_map::Entry::Vacant(e) => e.insert(
+                    catalog
+                        .table(&lit.rel)?
+                        .iter()
+                        .map(|(_, r)| r.as_slice())
+                        .filter(|r| r.iter().any(Value::is_null))
+                        .collect(),
+                ),
+            };
+            fact.clear();
+            fact.extend(lit.cols.iter().map(|&c| cand[c].clone()));
+            flags[li] = rows.contains(fact.as_slice());
+        }
+    }
+    Ok(())
 }
 
 /// A [`MembershipSource`] answering from gathered flags for the current
@@ -217,7 +264,8 @@ impl SqlBackend for hippo_engine::DbSnapshot {
     }
 }
 
-/// Render the membership probe `SELECT 1 FROM rel WHERE col = v … LIMIT 1`.
+/// Render the membership probe `SELECT 1 FROM rel WHERE col = v … LIMIT 1`,
+/// with `col IS NULL` for a NULL `v`.
 fn membership_probe_sql(catalog: &Catalog, rel: &str, values: &Row) -> Result<String, EngineError> {
     let schema = &catalog.table(rel)?.schema;
     let mut core = SelectCore::empty();
@@ -229,13 +277,13 @@ fn membership_probe_sql(catalog: &Catalog, rel: &str, values: &Row) -> Result<St
         name: rel.to_string(),
         alias: None,
     }];
-    core.filter = Expr::conjoin(
-        schema
-            .columns
-            .iter()
-            .zip(values)
-            .map(|(c, v)| Expr::col(c.name.clone()).eq(value_to_sql(v))),
-    );
+    core.filter = Expr::conjoin(schema.columns.iter().zip(values).map(|(c, v)| match v {
+        Value::Null => Expr::IsNull {
+            expr: Box::new(Expr::col(c.name.clone())),
+            negated: false,
+        },
+        _ => Expr::col(c.name.clone()).eq(value_to_sql(v)),
+    }));
     core.limit = Some(1);
     Ok(hippo_sql::print_query(&Query::Select(Box::new(core))))
 }
@@ -429,25 +477,36 @@ impl<'a> MemoSqlMembership<'a> {
                 None => {
                     let probe = &self.probes[li];
                     self.queries_issued += 1;
-                    if probe.uses_index {
-                        self.index_probes += 1;
-                    } else {
-                        self.scan_probes += 1;
-                    }
                     // Execute against the frozen catalog directly and
                     // count locally — per-probe atomics on the shared
                     // snapshot stats would contend across shards at
                     // sub-microsecond probe cost. The totals fold into
                     // the snapshot in one `record_prepared` call when
                     // the shard finishes (see `flush_backend_stats`).
-                    let b = !hippo_engine::exec::execute_physical_params_governed(
-                        &probe.plan,
-                        self.snapshot.catalog(),
-                        &self.row_buf,
-                        self.budget,
-                        "membership",
-                    )?
-                    .is_empty();
+                    let b = if self.row_buf.iter().any(Value::is_null) {
+                        // `=` keys cannot match a NULL: value equality
+                        // by scan (see the module doc).
+                        self.scan_probes += 1;
+                        if let Some(budget) = self.budget {
+                            budget.check("membership")?;
+                        }
+                        let table = self.snapshot.catalog().table(&lit.rel)?;
+                        table.iter().any(|(_, r)| r == &self.row_buf)
+                    } else {
+                        if probe.uses_index {
+                            self.index_probes += 1;
+                        } else {
+                            self.scan_probes += 1;
+                        }
+                        !hippo_engine::exec::execute_physical_params_governed(
+                            &probe.plan,
+                            self.snapshot.catalog(),
+                            &self.row_buf,
+                            self.budget,
+                            "membership",
+                        )?
+                        .is_empty()
+                    };
                     memo.insert(self.row_buf.clone(), b);
                     b
                 }
@@ -576,5 +635,38 @@ mod tests {
                 assert_eq!(flags[fi], expected, "candidate {cand:?} literal {fi}");
             }
         }
+    }
+
+    #[test]
+    fn null_bearing_facts_are_members_by_value() {
+        let mut db = db();
+        db.execute("INSERT INTO r VALUES (3, NULL), (NULL, NULL)")
+            .unwrap();
+        db.execute("INSERT INTO s VALUES (3, NULL)").unwrap();
+        let q = SjudQuery::rel("r").diff(SjudQuery::rel("s"));
+        let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
+        let sql_q = extended_envelope_sql(&envelope(&q), &template, db.catalog()).unwrap();
+        let result = db.query(&hippo_sql::print_query(&sql_q)).unwrap();
+        let mut gathered = split_gathered(result.rows, 2, template.literals.len());
+        settle_null_flags(&mut gathered, &template, db.catalog()).unwrap();
+        let snapshot = db.snapshot();
+        let mut memo = MemoSqlMembership::new(&snapshot, &template, true).unwrap();
+        let mut sqlm = SqlMembership::new(&db);
+        let (mut probed, mut checked) = (Vec::new(), 0);
+        for (cand, flags) in gathered.candidates.iter().zip(&gathered.flags) {
+            // (3,NULL) is in r and s, (NULL,NULL) in r only, the rest
+            // NULL-free.
+            let in_s = cand == &vec![Value::Int(3), Value::Null] || cand[0] == Value::Int(1);
+            assert_eq!(flags, &vec![true, in_s], "candidate {cand:?}");
+            memo.gather_flags(cand, &mut probed).unwrap();
+            assert_eq!(&probed, flags, "prepared probes, candidate {cand:?}");
+            for (fi, lit) in template.literals.iter().enumerate() {
+                let fact = lit.instantiate(cand);
+                let got = sqlm.fact_in_db(&fact.rel, &fact.values).unwrap();
+                assert_eq!(got, flags[fi], "SQL probe, candidate {cand:?} literal {fi}");
+            }
+            checked += 1;
+        }
+        assert_eq!(checked, 4);
     }
 }

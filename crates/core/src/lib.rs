@@ -23,7 +23,8 @@
 //!    hypergraph;
 //! 4. optimizations: [`kg`] (knowledge gathering — prefetch all membership
 //!    facts in the envelope query) and [`corefilter`] (accept
-//!    provably-consistent tuples without the prover).
+//!    provably-consistent tuples without the prover, by an O(literals)
+//!    per-candidate test inside the prover shards).
 //!
 //! # Resource governance: strict vs. degraded mode
 //!
@@ -121,7 +122,7 @@ pub mod prelude {
     pub use crate::constraint::{AttrRef, Comparison, DenialConstraint, Term};
     pub use crate::detect::{detect_conflicts, detect_conflicts_with, DetectOptions, DetectStats};
     pub use crate::envelope::envelope;
-    pub use crate::hippo::{AnswerStats, FrozenHippo, Hippo, HippoOptions, RunStats};
+    pub use crate::hippo::{AnswerStats, FrozenHippo, Hippo, HippoOptions, OptLevel};
     pub use crate::hypergraph::{ConflictHypergraph, Fact, Vertex};
     pub use crate::inclusion::{FkIndex, ForeignKey};
     pub use crate::naive::{conflict_free_answers, naive_consistent_answers, plain_answers};

@@ -125,6 +125,10 @@ pub enum Pred {
     Or(Box<Pred>, Box<Pred>),
     /// Negation.
     Not(Box<Pred>),
+    /// Value equality of two columns, NULLs included (`IS NOT DISTINCT
+    /// FROM`): the consistency guard of a permutation that repeats an
+    /// input column, whose copies hold one value even when it is NULL.
+    Same(usize, usize),
 }
 
 impl Pred {
@@ -204,6 +208,7 @@ impl Pred {
             Pred::And(a, b) => a.eval(row) && b.eval(row),
             Pred::Or(a, b) => a.eval(row) || b.eval(row),
             Pred::Not(p) => !p.eval(row),
+            Pred::Same(a, b) => matches!((row.get(*a), row.get(*b)), (Some(x), Some(y)) if x == y),
         }
     }
 
@@ -221,6 +226,7 @@ impl Pred {
             Pred::And(a, b) => Pred::And(Box::new(a.shift(by)), Box::new(b.shift(by))),
             Pred::Or(a, b) => Pred::Or(Box::new(a.shift(by)), Box::new(b.shift(by))),
             Pred::Not(p) => Pred::Not(Box::new(p.shift(by))),
+            Pred::Same(a, b) => Pred::Same(a + by, b + by),
         }
     }
 
@@ -243,6 +249,7 @@ impl Pred {
             Pred::And(a, b) => Pred::And(Box::new(a.map_cols(f)), Box::new(b.map_cols(f))),
             Pred::Or(a, b) => Pred::Or(Box::new(a.map_cols(f)), Box::new(b.map_cols(f))),
             Pred::Not(p) => Pred::Not(Box::new(p.map_cols(f))),
+            Pred::Same(a, b) => Pred::Same(f(*a), f(*b)),
         }
     }
 
@@ -259,6 +266,7 @@ impl Pred {
                 (x, y) => x.or(y),
             },
             Pred::Not(p) => p.max_col(),
+            Pred::Same(a, b) => Some(*a.max(b)),
         }
     }
 
@@ -282,6 +290,13 @@ impl Pred {
             Pred::And(a, b) => a.to_sql_expr(name).and(b.to_sql_expr(name)),
             Pred::Or(a, b) => a.to_sql_expr(name).or(b.to_sql_expr(name)),
             Pred::Not(p) => p.to_sql_expr(name).not(),
+            Pred::Same(a, b) => {
+                let is_null = |i: usize| Expr::IsNull {
+                    expr: Box::new(name(i)),
+                    negated: false,
+                };
+                name(*a).eq(name(*b)).or(is_null(*a).and(is_null(*b)))
+            }
         }
     }
 }
@@ -314,6 +329,17 @@ mod tests {
         let p = Pred::cmp_const(0, CmpOp::Eq, 5i64);
         assert!(p.eval(&row(&[5])));
         assert!(!p.eval(&row(&[4])));
+    }
+
+    #[test]
+    fn same_is_value_equality_with_nulls() {
+        let p = Pred::Same(0, 1);
+        assert!(p.eval(&[Value::Null, Value::Null]));
+        assert!(p.eval(&[Value::Int(2), Value::Int(2)]));
+        assert!(!p.eval(&[Value::Null, Value::Int(2)]));
+        assert!(!p.eval(&[Value::Int(1), Value::Int(2)]));
+        assert_eq!(p.shift(2), Pred::Same(2, 3));
+        assert_eq!(p.max_col(), Some(1));
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //! every conflict-free candidate with the same guard/flag pattern
 //! collapses to a single prover call per equivalence class.
 
-use crate::formula::{to_dnf, Disjunct, MembershipTemplate};
-use crate::hypergraph::{ConflictHypergraph, Vertex};
+use crate::formula::{to_dnf, Disjunct, FormulaTemplate, MembershipTemplate};
+use crate::hypergraph::{ConflictHypergraph, FactId, Vertex};
 use crate::pred::Pred;
 use hippo_engine::{EngineError, Row};
 use rustc_hash::FxHashSet;
@@ -142,17 +142,37 @@ impl<'a> Prover<'a> {
         }
     }
 
+    /// Resolve each literal's fact for `tuple` to its interned
+    /// [`FactId`] (`None` when no conflict ever interned it) into
+    /// `facts`, cleared first: one in-place projection probe per literal,
+    /// never materialising a fact. Both [`Prover::core_accepts`] and
+    /// [`Prover::closure_signature`] read the result, so a candidate
+    /// probes the hypergraph once.
+    pub fn literal_facts(&self, tuple: &Row, facts: &mut Vec<Option<FactId>>) {
+        facts.clear();
+        facts.extend(self.template.literals.iter().enumerate().map(|(li, lit)| {
+            self.lit_rels[li].and_then(|r| self.graph.fact_id_projected(r, tuple, &lit.cols))
+        }));
+    }
+
     /// Compute the candidate's **conflict-closure signature** into `sig`
     /// (cleared first): packed guard truth bits, then one word per
     /// literal combining the prefetched membership flag with the
-    /// interned [`crate::hypergraph::FactId`] of the instantiated fact.
-    /// Equal signatures (under one prover) guarantee equal verdicts, so
-    /// callers may cache `is_consistent_answer` results keyed by the
-    /// signature. Allocation-free: facts are probed as projections of
-    /// `tuple`, never materialised. `flags` must be the per-literal
-    /// membership answers (knowledge gathering prefetches them).
-    pub fn closure_signature(&self, tuple: &Row, flags: &[bool], sig: &mut Vec<u64>) {
+    /// interned [`FactId`] of the instantiated fact. Equal signatures
+    /// (under one prover) guarantee equal verdicts, so callers may cache
+    /// `is_consistent_answer` results keyed by the signature.
+    /// Allocation-free. `flags` must be the per-literal membership
+    /// answers (knowledge gathering prefetches them), `facts` the
+    /// candidate's [`Prover::literal_facts`].
+    pub fn closure_signature(
+        &self,
+        tuple: &Row,
+        flags: &[bool],
+        facts: &[Option<FactId>],
+        sig: &mut Vec<u64>,
+    ) {
         debug_assert_eq!(flags.len(), self.template.literals.len());
+        debug_assert_eq!(facts.len(), self.template.literals.len());
         sig.clear();
         let mut word = 0u64;
         for (i, g) in self.guards.iter().enumerate() {
@@ -167,10 +187,45 @@ impl<'a> Prover<'a> {
         if !self.guards.len().is_multiple_of(64) {
             sig.push(word);
         }
-        for (li, lit) in self.template.literals.iter().enumerate() {
-            let fid =
-                self.lit_rels[li].and_then(|r| self.graph.fact_id_projected(r, tuple, &lit.cols));
-            sig.push(u64::from(flags[li]) | fid.map_or(0, |f| (u64::from(f.0) + 1) << 1));
+        for (&flag, fid) in flags.iter().zip(facts) {
+            sig.push(u64::from(flag) | fid.map_or(0, |f| (u64::from(f.0) + 1) << 1));
+        }
+    }
+
+    /// The **core filter** as a per-candidate test (see
+    /// [`crate::corefilter`]): does `tuple` belong to the filter query,
+    /// whose positive leaves read the conflict-free core and whose
+    /// subtracted branches read their envelope over the full instance?
+    /// One walk over the template, O(literals), allocation-free;
+    /// `flags` are the prefetched per-literal membership answers, `facts`
+    /// the candidate's [`Prover::literal_facts`].
+    pub fn core_accepts(&self, tuple: &Row, flags: &[bool], facts: &[Option<FactId>]) -> bool {
+        self.core_walk(&self.template.formula, tuple, flags, facts, true)
+    }
+
+    /// `core`: in positive position (a literal needs its fact in `D` and
+    /// in no conflict). Under a `Not`, the walk evaluates the subtracted
+    /// branch's envelope on the full instance: literals read the flags,
+    /// and a nested `Not` is `true`, since `env(a − b) = env(a)`.
+    fn core_walk(
+        &self,
+        f: &FormulaTemplate,
+        tuple: &Row,
+        flags: &[bool],
+        facts: &[Option<FactId>],
+        core: bool,
+    ) -> bool {
+        let walk = |f, core| self.core_walk(f, tuple, flags, facts, core);
+        let conflicting =
+            |li: usize| facts[li].is_some_and(|f| !self.graph.vertices_of_fact_id(f).is_empty());
+        match f {
+            FormulaTemplate::True => true,
+            FormulaTemplate::False => false,
+            FormulaTemplate::Guard(p) => p.eval(tuple),
+            FormulaTemplate::Lit(li) => flags[*li] && (!core || !conflicting(*li)),
+            FormulaTemplate::And(a, b) => walk(a, core) && walk(b, core),
+            FormulaTemplate::Or(a, b) => walk(a, core) || walk(b, core),
+            FormulaTemplate::Not(inner) => !core || !walk(inner, false),
         }
     }
 
@@ -700,8 +755,9 @@ mod tests {
         let template = MembershipTemplate::build(&q, db.catalog()).unwrap();
         let prover = Prover::new(&g, &template);
         let sig = |row: &Row| {
-            let mut s = Vec::new();
-            prover.closure_signature(row, &[true], &mut s);
+            let (mut facts, mut s) = (Vec::new(), Vec::new());
+            prover.literal_facts(row, &mut facts);
+            prover.closure_signature(row, &[true], &facts, &mut s);
             s
         };
         let bob = vec![Value::text("bob"), Value::Int(300)];

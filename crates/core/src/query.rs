@@ -427,6 +427,25 @@ mod tests {
     }
 
     #[test]
+    fn same_selection_renders_to_equivalent_sql() {
+        let mut db = db();
+        db.execute("INSERT INTO r VALUES (NULL, NULL), (NULL, 5), (7, 7)")
+            .unwrap();
+        let q = SjudQuery::rel("r").select(Pred::Same(0, 1));
+        let mut sql = db.query(&q.to_sql(db.catalog()).unwrap()).unwrap().rows;
+        sql.sort();
+        let direct = q.eval_on_catalog(db.catalog()).unwrap();
+        assert_eq!(sql, direct);
+        assert_eq!(
+            direct,
+            vec![
+                vec![Value::Null, Value::Null],
+                vec![Value::Int(7), Value::Int(7)]
+            ]
+        );
+    }
+
+    #[test]
     fn unknown_relation_rejected() {
         let db = db();
         assert!(SjudQuery::rel("nope").validate(db.catalog()).is_err());

@@ -126,8 +126,8 @@ pub fn repair_instance<'a>(
 
 /// The conflict-free core as an instance view: every conflicting tuple is
 /// dropped. This is the instance the "traditional approach" (delete all
-/// conflicting data) queries, and the positive base of Hippo's core-filter
-/// optimization.
+/// conflicting data) queries, and the positive base of the set-form core
+/// filter ([`crate::corefilter::core_filter_direct`], the test oracle).
 pub fn core_instance<'a>(
     catalog: &'a Catalog,
     g: &'a ConflictHypergraph,

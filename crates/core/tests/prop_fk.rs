@@ -7,8 +7,12 @@
 //! [`Hippo::redetect`], which must stay on the incremental path; after
 //! every batch the graph must match a forced full rebuild
 //! ([`Hippo::redetect_full`]) edge-for-edge, and the consistent answers
-//! must be unchanged by which path produced the graph.
+//! must be unchanged by which path produced the graph. On the
+//! incrementally maintained graph, full mode's per-candidate core test
+//! must accept exactly as many candidates as the set-form core filter,
+//! with answers equal to knowledge-gathering mode's.
 
+use hippo_cqa::corefilter::core_filter_direct;
 use hippo_cqa::hypergraph::Vertex;
 use hippo_cqa::prelude::*;
 use hippo_engine::{Database, Row, TupleId, Value};
@@ -60,6 +64,29 @@ fn live_tids(h: &Hippo, table: &str) -> Vec<TupleId> {
         .iter()
         .map(|(tid, _)| tid)
         .collect()
+}
+
+/// Full mode at 1 and 4 prover threads, ungoverned and under a generous
+/// row budget, against the set-form oracle and knowledge gathering.
+fn assert_full_mode_agrees(h: &mut Hippo, q: &SjudQuery) {
+    let oracle = core_filter_direct(q, h.db().catalog(), h.graph()).len();
+    h.options = HippoOptions::kg();
+    let kg = h.consistent_answers(q).unwrap();
+    for threads in [1, 4] {
+        for opts in [
+            HippoOptions::full(),
+            HippoOptions::full().with_row_budget(1 << 40),
+        ] {
+            h.options = opts.with_prover_threads(threads);
+            let ans = h.consistent_answers_governed(q).unwrap();
+            assert_eq!(ans.rows, kg, "full vs kg at threads {threads}");
+            assert_eq!(
+                ans.stats.filtered_consistent, oracle,
+                "filtered vs oracle at threads {threads}"
+            );
+        }
+    }
+    h.options = HippoOptions::default();
 }
 
 /// Apply one encoded op through the *recorded* mutation API.
@@ -127,6 +154,7 @@ proptest! {
             );
             let inc_edges = canon(&hippo);
             let inc_answers = hippo.consistent_answers(&q).unwrap();
+            assert_full_mode_agrees(&mut hippo, &q);
             // Forced full rebuild on the same database must agree.
             hippo.redetect_full().unwrap();
             prop_assert_eq!(inc_edges, canon(&hippo), "graphs diverged");

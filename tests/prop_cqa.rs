@@ -4,13 +4,18 @@
 //! * repairs are independent and maximal;
 //! * Hippo (every optimization level) ≡ naive repair-enumeration CQA;
 //! * core filter ⊆ consistent answers ⊆ envelope;
+//! * the per-candidate core test ≡ the set-form core filter, and full
+//!   mode ≡ knowledge-gathering mode;
 //! * query rewriting ≡ ground truth on its supported class;
 //! * SJUD SQL rendering ≡ direct algebra evaluation.
 
-use hippo::cqa::corefilter::core_filter_on_catalog;
+use hippo::cqa::corefilter::core_filter_direct;
 use hippo::cqa::detect::detect_conflicts;
+use hippo::cqa::formula::MembershipTemplate;
+use hippo::cqa::kg::{extended_envelope_sql, settle_null_flags, split_gathered};
 use hippo::cqa::naive::naive_consistent_answers;
 use hippo::cqa::prelude::*;
+use hippo::cqa::prover::Prover;
 use hippo::engine::{Database, Row, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -52,6 +57,60 @@ fn arb_query() -> impl Strategy<Value = SjudQuery> {
     })
     // Keep arity 2 everywhere: unions/diffs of same-shaped subqueries.
     .prop_filter("arity-2 only", query_arity_ok)
+}
+
+/// The per-candidate core test run over the knowledge-gathering
+/// envelope's candidates — the set full mode's shards accept — sorted.
+fn core_test_accepts(q: &SjudQuery, db: &Database, g: &ConflictHypergraph) -> Vec<Row> {
+    let catalog = db.catalog();
+    let arity = q.validate(catalog).unwrap();
+    let template = MembershipTemplate::build(q, catalog).unwrap();
+    let sql = extended_envelope_sql(&envelope(q), &template, catalog).unwrap();
+    let rows = db.query(&hippo::sql::print_query(&sql)).unwrap().rows;
+    let mut gathered = split_gathered(rows, arity, template.literals.len());
+    settle_null_flags(&mut gathered, &template, catalog).unwrap();
+    let prover = Prover::new(g, &template);
+    let mut facts = Vec::new();
+    let mut out: Vec<Row> = gathered
+        .candidates
+        .iter()
+        .zip(&gathered.flags)
+        .filter(|(c, f)| {
+            prover.literal_facts(c, &mut facts);
+            prover.core_accepts(c, f, &facts)
+        })
+        .map(|(c, _)| c.clone())
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Full mode at 1 and 4 prover threads, ungoverned and under a generous
+/// row budget: the core test accepts as many candidates as the oracle
+/// holds, and the answers equal knowledge-gathering mode's.
+fn assert_full_mode_agrees(hippo: &mut Hippo, q: &SjudQuery) {
+    let oracle = core_filter_direct(q, hippo.db().catalog(), hippo.graph()).len();
+    hippo.options = HippoOptions::kg();
+    let kg = hippo.consistent_answers(q).unwrap();
+    for threads in [1, 4] {
+        for opts in [
+            HippoOptions::full(),
+            HippoOptions::full().with_row_budget(1 << 40),
+        ] {
+            hippo.options = opts.with_prover_threads(threads);
+            let ans = hippo.consistent_answers_governed(q).unwrap();
+            assert!(
+                ans.completeness.is_complete(),
+                "query {q} threads {threads}"
+            );
+            assert_eq!(ans.rows, kg, "full vs kg: query {q} threads {threads}");
+            assert_eq!(
+                ans.stats.filtered_consistent, oracle,
+                "filtered vs oracle: query {q} threads {threads}"
+            );
+        }
+    }
 }
 
 fn query_arity_ok(q: &SjudQuery) -> bool {
@@ -108,6 +167,7 @@ proptest! {
             let got = hippo.consistent_answers(&q).unwrap();
             prop_assert_eq!(&got, &truth, "query {} opts {:?}", q, opts);
         }
+        assert_full_mode_agrees(&mut Hippo::new(db, constraints).unwrap(), &q);
     }
 
     #[test]
@@ -118,7 +178,7 @@ proptest! {
         let truth: HashSet<Row> =
             naive_consistent_answers(&q, db.catalog(), &g).into_iter().collect();
         // core filter ⊆ consistent
-        for row in core_filter_on_catalog(&q, db.catalog(), &g) {
+        for row in core_filter_direct(&q, db.catalog(), &g) {
             prop_assert!(truth.contains(&row), "filter overclaims {:?} for {}", row, q);
         }
         // consistent ⊆ envelope(D)
@@ -201,6 +261,7 @@ proptest! {
             prop_assert_eq!(hippo.consistent_answers(&q).unwrap(), truth.clone(),
                 "query {} opts {:?}", q, opts);
         }
+        assert_full_mode_agrees(&mut Hippo::new(db, constraints).unwrap(), &q);
     }
 }
 
@@ -259,6 +320,7 @@ proptest! {
                 .product(SjudQuery::rel("ban"))
                 .select(Pred::cmp_cols(0, CmpOp::Eq, 2)),
         ];
+        let mut full = Hippo::new(build_two_rel_db(&emp, &ban), constraints.clone()).unwrap();
         for q in queries {
             let truth = naive_consistent_answers(&q, db.catalog(), &g);
             for opts in [HippoOptions::kg(), HippoOptions::full()] {
@@ -267,6 +329,7 @@ proptest! {
                 prop_assert_eq!(hippo.consistent_answers(&q).unwrap(), truth.clone(),
                     "query {} opts {:?}", q, opts);
             }
+            assert_full_mode_agrees(&mut full, &q);
         }
     }
 
@@ -291,6 +354,90 @@ proptest! {
             let slow = range_aggregate_naive(db.catalog(), "emp", &constraints, 1, op).unwrap();
             prop_assert_eq!(fast.glb.as_f64(), slow.glb.as_f64(), "glb for {:?}", op);
             prop_assert_eq!(fast.lub.as_f64(), slow.lub.as_f64(), "lub for {:?}", op);
+        }
+    }
+}
+
+/// Random arity-2 queries over `emp` and `ban`: selections, unions,
+/// column swaps and (nested) differences.
+fn arb_two_rel_query_2() -> impl Strategy<Value = SjudQuery> {
+    prop_oneof![Just(SjudQuery::rel("emp")), Just(SjudQuery::rel("ban"))].prop_recursive(
+        3,
+        12,
+        2,
+        |inner| {
+            prop_oneof![
+                (inner.clone(), 0i64..3).prop_map(|(q, c)| q.select(Pred::cmp_const(
+                    1,
+                    CmpOp::Ge,
+                    c
+                ))),
+                (inner.clone(), 0i64..5).prop_map(|(q, c)| q.select(Pred::cmp_const(
+                    0,
+                    CmpOp::Eq,
+                    c
+                ))),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.union(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.diff(b)),
+                inner.prop_map(|q| q.permute(vec![1, 0])),
+            ]
+        },
+    )
+}
+
+/// The arity-2 queries plus products of them: joined, subtracted from
+/// each other, reordered, or with a duplicated column (a permutation
+/// consistency guard).
+fn arb_two_rel_query() -> impl Strategy<Value = SjudQuery> {
+    let q2 = arb_two_rel_query_2;
+    prop_oneof![
+        q2(),
+        (q2(), q2()).prop_map(|(a, b)| a.product(b).select(Pred::cmp_cols(0, CmpOp::Eq, 2))),
+        (q2(), q2(), q2(), q2()).prop_map(|(a, b, c, d)| a.product(b).diff(c.product(d))),
+        (q2(), q2()).prop_map(|(a, b)| a.product(b).permute(vec![2, 3, 0, 1])),
+        (q2(), q2()).prop_map(|(a, b)| a.product(b).permute(vec![0, 1, 0, 2, 3])),
+    ]
+}
+
+/// A fixed two-relation instance with NULLs in keys and values.
+fn build_null_db() -> Database {
+    let mut db = build_two_rel_db(&[(1, 0), (2, 1), (2, 2), (3, 0), (4, 1)], &[(3, 1), (0, 2)]);
+    db.execute("INSERT INTO emp VALUES (1, NULL), (NULL, 2), (4, NULL), (NULL, NULL)")
+        .unwrap();
+    db.execute("INSERT INTO ban VALUES (NULL, 1), (4, NULL)")
+        .unwrap();
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+    /// The per-candidate core test over the envelope's candidates accepts
+    /// exactly the set-form core filter, under FD + exclusion
+    /// constraints, on a random instance and on the NULL-bearing one;
+    /// every mode then agrees with the naive ground truth, and full mode
+    /// with knowledge gathering.
+    #[test]
+    fn core_test_equals_core_filter_direct(
+        (emp, ban) in arb_two_rel(),
+        q in arb_two_rel_query(),
+    ) {
+        let constraints = two_rel_constraints();
+        for db in [build_two_rel_db(&emp, &ban), build_null_db()] {
+            let (g, _) = detect_conflicts(db.catalog(), &constraints).unwrap();
+            prop_assert_eq!(
+                core_test_accepts(&q, &db, &g),
+                core_filter_direct(&q, db.catalog(), &g),
+                "query {}", q
+            );
+            let truth = naive_consistent_answers(&q, db.catalog(), &g);
+            let mut hippo = Hippo::new(db, constraints.clone()).unwrap();
+            for opts in [HippoOptions::base(), HippoOptions::kg(), HippoOptions::full()] {
+                hippo.options = opts.clone();
+                prop_assert_eq!(hippo.consistent_answers(&q).unwrap(), truth.clone(),
+                    "query {} opts {:?}", q, opts);
+            }
+            assert_full_mode_agrees(&mut hippo, &q);
         }
     }
 }
