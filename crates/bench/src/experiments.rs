@@ -1719,7 +1719,12 @@ fn chaos_scenario(
             .into());
         }
         if let Some(n) = read_counts.get(id) {
-            let got = epoch.frozen().query("SELECT * FROM t")?.rows.len();
+            let got = epoch
+                .frozen()
+                .snapshot()
+                .query("SELECT * FROM t")?
+                .rows
+                .len();
             if got != *n {
                 return Err(format!(
                     "{scenario}: epoch {id} plain-read count {n} != catalog count {got}"

@@ -171,7 +171,7 @@ impl FaultArm {
     }
 }
 
-/// A deterministic fault plan: one or more [`FaultArm`]s, each firing at
+/// A deterministic fault plan: one or more `FaultArm`s, each firing at
 /// most once. Built from a comma-separated `stage:shard:kind` list so
 /// crash-matrix tests can compose faults
 /// (`HIPPO_FAULT=wal:0:panic,detect:0:trip`).

@@ -32,7 +32,8 @@
 //!
 //! [`Hippo::new`] performs conflict detection once; each
 //! [`Hippo::consistent_answers`] run envelopes the query, evaluates the
-//! candidates on the SQL backend, and filters them through the Prover.
+//! candidates on a frozen [`DbSnapshot`], and filters them through the
+//! Prover.
 //! [`HippoOptions::level`] selects the rung of the optimization ladder
 //! ([`OptLevel`]):
 //!
@@ -140,6 +141,16 @@
 //!          shared verdict cache, same shard → merge pipeline as above)
 //! ```
 //!
+//! There is one answer path. The live calls
+//! ([`Hippo::consistent_answers`] and friends) are
+//! `self.freeze()?.consistent_answers…`: an O(1) freeze with a fresh
+//! statistics lineage, dropped after the call, so the envelope query
+//! and base-mode probes are counted on that snapshot and never on
+//! [`Hippo::db`]. Answering therefore refuses unreconciled state exactly
+//! as `freeze` does — with changes recorded (or the catalog dirtied
+//! through [`Hippo::db_mut`]) but not yet redetected, the hypergraph
+//! describes older data and its verdicts would be unsound.
+//!
 //! `crates/server` builds the epoch protocol (admission control, drain,
 //! retry) on top of this; the invariant enforced *here* is that a
 //! freeze of a reconciled system is self-consistent — [`Hippo::freeze`]
@@ -163,7 +174,7 @@ use crate::kg::{
 use crate::parallel;
 use crate::prover::{Prover, ProverRunStats};
 use crate::query::SjudQuery;
-use hippo_engine::{Catalog, Database, DbSnapshot, EngineError, QueryResult, Row, TupleId};
+use hippo_engine::{Catalog, Database, DbSnapshot, EngineError, Row, TupleId};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -1323,19 +1334,14 @@ impl Hippo {
     /// sibling shards drain, the error is `WorkerPanic { stage, shard }`,
     /// no partial merge happens, and this `Hippo` (including its
     /// persistent verdict cache) stays fully usable.
+    ///
+    /// Answers through [`Hippo::freeze`], so it errors while data
+    /// changes are recorded but not yet redetected.
     pub fn consistent_answers_governed(
         &self,
         query: &SjudQuery,
     ) -> Result<ConsistentAnswer, EngineError> {
-        let gov = self.options.governance();
-        answers_pipeline(
-            &Backend::Live(&self.db),
-            &self.graph,
-            &self.options,
-            &self.verdict_cache,
-            query,
-            &gov,
-        )
+        self.freeze()?.consistent_answers_governed(query)
     }
 
     /// Freeze the current state into an immutable, `Send + Sync`
@@ -1353,8 +1359,7 @@ impl Hippo {
     pub fn freeze(&self) -> Result<FrozenHippo, EngineError> {
         if self.catalog_dirty || !self.pending.is_empty() {
             return Err(EngineError::new(
-                "cannot freeze: data changes recorded since the last detection \
-                 (call redetect() before freeze())",
+                "data changes recorded since the last detection; call redetect() first",
             ));
         }
         Ok(FrozenHippo {
@@ -1371,8 +1376,8 @@ impl Hippo {
 /// persistent verdict cache, produced by [`Hippo::freeze`].
 ///
 /// Any number of threads may run [`FrozenHippo::consistent_answers`]
-/// (or plain [`FrozenHippo::query`]) on one view — or on clones, which
-/// share everything — with no locks beyond the verdict cache's
+/// (or plain SQL through [`FrozenHippo::snapshot`]) on one view — or on
+/// clones, which share everything — with no locks beyond the verdict cache's
 /// merge-phase write-back, entirely independent of the live `Hippo`
 /// the view came from. This is the unit the service layer
 /// (`crates/server`) publishes as an epoch.
@@ -1410,30 +1415,16 @@ impl FrozenHippo {
         &self.graph
     }
 
-    /// Run a plain (non-CQA) SQL query against the frozen snapshot.
-    pub fn query(&self, sql: &str) -> Result<QueryResult, EngineError> {
-        self.snapshot.query(sql)
-    }
-
-    /// Run a plain SQL query under an explicit budget.
-    pub fn query_governed(
-        &self,
-        sql: &str,
-        budget: Option<&Budget>,
-    ) -> Result<QueryResult, EngineError> {
-        self.snapshot.query_governed(sql, budget, "engine")
-    }
-
     /// Consistent answers on the frozen view (sorted rows; governance
     /// per [`FrozenHippo::options`]).
     pub fn consistent_answers(&self, query: &SjudQuery) -> Result<Vec<Row>, EngineError> {
         Ok(self.consistent_answers_governed(query)?.rows)
     }
 
-    /// The governed entry point, mirroring
-    /// [`Hippo::consistent_answers_governed`] — identical answers,
-    /// stats and degradation semantics, just sourced from the frozen
-    /// snapshot instead of the live database.
+    /// The governed entry point (see
+    /// [`Hippo::consistent_answers_governed`], which freezes and lands
+    /// here): answers, stats and degradation semantics under
+    /// [`FrozenHippo::options`].
     pub fn consistent_answers_governed(
         &self,
         query: &SjudQuery,
@@ -1451,7 +1442,7 @@ impl FrozenHippo {
     ) -> Result<ConsistentAnswer, EngineError> {
         let gov = options.governance();
         answers_pipeline(
-            &Backend::Frozen(&self.snapshot),
+            &self.snapshot,
             &self.graph,
             options,
             &self.verdict_cache,
@@ -1461,52 +1452,11 @@ impl FrozenHippo {
     }
 }
 
-/// Where the answer pipeline reads data from: the live database (a
-/// [`Hippo`] answering in place) or a frozen snapshot (a
-/// [`FrozenHippo`] / published epoch). Both expose the same catalog
-/// and governed-query surface; the only behavioural difference is how
-/// base mode obtains its shared membership snapshot.
-enum Backend<'a> {
-    Live(&'a Database),
-    Frozen(&'a DbSnapshot),
-}
-
-impl Backend<'_> {
-    fn catalog(&self) -> &Catalog {
-        match self {
-            Backend::Live(db) => db.catalog(),
-            Backend::Frozen(s) => s.catalog(),
-        }
-    }
-
-    fn query_governed(
-        &self,
-        sql: &str,
-        budget: Option<&Budget>,
-        stage: &'static str,
-    ) -> Result<QueryResult, EngineError> {
-        match self {
-            Backend::Live(db) => db.query_governed(sql, budget, stage),
-            Backend::Frozen(s) => s.query_governed(sql, budget, stage),
-        }
-    }
-
-    /// Base mode's shared membership snapshot: freeze the live
-    /// database once per run, or hand out the already-frozen snapshot
-    /// (an `Arc` clone).
-    fn membership_snapshot(&self) -> DbSnapshot {
-        match self {
-            Backend::Live(db) => db.snapshot(),
-            Backend::Frozen(s) => (*s).clone(),
-        }
-    }
-}
-
-/// The shared answer pipeline behind both [`Hippo`] (live) and
-/// [`FrozenHippo`] (epoch) entry points: envelope → core filter →
-/// sharded prove/merge, all reads through `backend`.
+/// The answer pipeline behind every entry point ([`Hippo`] answers
+/// through [`Hippo::freeze`]): envelope → core filter → sharded
+/// prove/merge, all reads through one frozen `snapshot`.
 fn answers_pipeline(
-    backend: &Backend<'_>,
+    snapshot: &DbSnapshot,
     graph: &ConflictHypergraph,
     options: &HippoOptions,
     verdict_cache: &Mutex<VerdictCache>,
@@ -1518,8 +1468,8 @@ fn answers_pipeline(
         degraded: gov.degraded,
         ..AnswerStats::default()
     };
-    let arity = query.validate(backend.catalog())?;
-    let template = MembershipTemplate::build(query, backend.catalog())?;
+    let arity = query.validate(snapshot.catalog())?;
+    let template = MembershipTemplate::build(query, snapshot.catalog())?;
     let env = envelope(query);
 
     // ---- Enveloping + Evaluation ----
@@ -1527,17 +1477,17 @@ fn answers_pipeline(
     let env_res: Result<_, EngineError> = (|| {
         gov.checkpoint("envelope", 0)?;
         if options.level != OptLevel::Base {
-            let sql_q = extended_envelope_sql(&env, &template, backend.catalog())?;
+            let sql_q = extended_envelope_sql(&env, &template, snapshot.catalog())?;
             let sql = hippo_sql::print_query(&sql_q);
-            let rows = backend
+            let rows = snapshot
                 .query_governed(&sql, gov.budget_ref(), "envelope")?
                 .rows;
             let mut gathered = split_gathered(rows, arity, template.literals.len());
-            settle_null_flags(&mut gathered, &template, backend.catalog())?;
+            settle_null_flags(&mut gathered, &template, snapshot.catalog())?;
             Ok((gathered.candidates, Some(gathered.flags)))
         } else {
-            let sql = env.to_sql(backend.catalog())?;
-            let rows = backend
+            let sql = env.to_sql(snapshot.catalog())?;
+            let rows = snapshot
                 .query_governed(&sql, gov.budget_ref(), "envelope")?
                 .rows;
             Ok((rows, None))
@@ -1579,13 +1529,6 @@ fn answers_pipeline(
     let shards = parallel::split_ranges(candidates.len(), PROVER_SHARDS);
     let threads = options.resolved_prover_threads();
     let use_cache = options.prover_cache;
-    // Base mode: freeze the instance once; all workers share the one
-    // snapshot `Arc` and issue their membership SQL against it.
-    let snapshot: Option<DbSnapshot> = if flags.is_none() {
-        Some(backend.membership_snapshot())
-    } else {
-        None
-    };
     // Cross-call verdicts: take the persistent map for this query
     // under the lock, then read it lock-free from every shard.
     let query_key = use_cache.then(|| query.to_string());
@@ -1598,7 +1541,9 @@ fn answers_pipeline(
         template: &template,
         candidates: &candidates,
         flags: flags.as_deref(),
-        snapshot: snapshot.as_ref(),
+        // Base mode: all workers share the one snapshot and issue their
+        // membership probes against it.
+        snapshot: flags.is_none().then_some(snapshot),
         core_flags: if core_filter { flags.as_deref() } else { None },
         use_cache,
         index_probes: options.index_probes,
@@ -2766,7 +2711,7 @@ mod tests {
                 assert_eq!(live.stats.candidates, cold.stats.candidates);
                 assert_eq!(live.stats.answers, cold.stats.answers);
                 // Plain SQL flows through the snapshot too.
-                let via_sql = frozen.query("SELECT * FROM emp").unwrap();
+                let via_sql = frozen.snapshot().query("SELECT * FROM emp").unwrap();
                 assert_eq!(via_sql.rows.len(), rows.len());
             }
         }
@@ -2800,7 +2745,7 @@ mod tests {
             .insert_tuples("emp", vec![vec![Value::text("ann"), Value::Int(2)]])
             .unwrap();
         let err = hippo.freeze().unwrap_err();
-        assert!(err.to_string().contains("cannot freeze"), "{err}");
+        assert!(err.to_string().contains("call redetect() first"), "{err}");
         hippo.redetect().unwrap();
         hippo.freeze().unwrap();
         // Unrecorded mutation (catalog dirty) refuses as well.
@@ -2808,6 +2753,24 @@ mod tests {
         assert!(hippo.freeze().is_err());
         hippo.redetect().unwrap();
         hippo.freeze().unwrap();
+    }
+
+    #[test]
+    fn answering_refuses_a_stale_conflict_graph() {
+        // Recorded but unreconciled changes: answering from the old graph
+        // would pass both conflicting `ann` rows as consistent.
+        let mut hippo = Hippo::new(emp_db(&[("ann", 100), ("bob", 300)]), fd()).unwrap();
+        hippo
+            .insert_tuples("emp", vec![vec![Value::text("ann"), Value::Int(200)]])
+            .unwrap();
+        let q = SjudQuery::rel("emp");
+        let err = hippo.consistent_answers(&q).unwrap_err();
+        assert!(err.to_string().contains("call redetect() first"), "{err}");
+        hippo.redetect().unwrap();
+        assert_eq!(
+            hippo.consistent_answers(&q).unwrap(),
+            vec![vec![Value::text("bob"), Value::Int(300)]]
+        );
     }
 
     #[test]

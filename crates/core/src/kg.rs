@@ -9,10 +9,11 @@
 //! The prover then answers membership checks from the fetched flags and
 //! issues **zero** queries against the database.
 //!
-//! This module also houses the base-mode membership sources. They target
-//! a [`SqlBackend`] — the live [`hippo_engine::Database`] or a frozen,
-//! `Sync` [`hippo_engine::DbSnapshot`] — and the answer pipeline runs
-//! base mode through snapshots: every prover shard owns a
+//! This module also houses the base-mode membership sources. They read
+//! through the engine's one read surface, a frozen, `Sync`
+//! [`DbSnapshot`] (a live [`hippo_engine::Database`] derefs to one), and
+//! the answer pipeline runs base mode against the snapshot it answers
+//! on: every prover shard owns a
 //! [`MemoSqlMembership`], which compiles each literal's probe **once**
 //! into a prepared physical plan (an `IndexLookup` when the relation
 //! has a covering hash index) and re-executes it per candidate binding,
@@ -34,7 +35,7 @@ use crate::formula::{LitTemplate, MembershipTemplate};
 use crate::pred::value_to_sql;
 use crate::prover::MembershipSource;
 use crate::query::SjudQuery;
-use hippo_engine::{Catalog, EngineError, Row, Value};
+use hippo_engine::{Catalog, DbSnapshot, EngineError, Row, Value};
 use hippo_sql::{Expr, Query, SelectCore, SelectItem, TableRef};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -235,35 +236,6 @@ impl MembershipSource for GatheredMembership<'_> {
     }
 }
 
-/// A read-only SQL backend the base-mode membership path can target:
-/// either the live engine handle ([`hippo_engine::Database`]) or a
-/// frozen, `Sync` [`hippo_engine::DbSnapshot`] — the latter is what lets
-/// base-mode prover shards issue membership SQL from worker threads.
-pub trait SqlBackend {
-    /// The catalog the membership SQL is built against.
-    fn catalog(&self) -> &Catalog;
-    /// Evaluate one `SELECT` and return its rows.
-    fn query_rows(&self, sql: &str) -> Result<Vec<Row>, EngineError>;
-}
-
-impl SqlBackend for hippo_engine::Database {
-    fn catalog(&self) -> &Catalog {
-        hippo_engine::Database::catalog(self)
-    }
-    fn query_rows(&self, sql: &str) -> Result<Vec<Row>, EngineError> {
-        Ok(self.query(sql)?.rows)
-    }
-}
-
-impl SqlBackend for hippo_engine::DbSnapshot {
-    fn catalog(&self) -> &Catalog {
-        hippo_engine::DbSnapshot::catalog(self)
-    }
-    fn query_rows(&self, sql: &str) -> Result<Vec<Row>, EngineError> {
-        Ok(self.query(sql)?.rows)
-    }
-}
-
 /// Render the membership probe `SELECT 1 FROM rel WHERE col = v … LIMIT 1`,
 /// with `col IS NULL` for a NULL `v`.
 fn membership_probe_sql(catalog: &Catalog, rel: &str, values: &Row) -> Result<String, EngineError> {
@@ -290,19 +262,19 @@ fn membership_probe_sql(catalog: &Catalog, rel: &str, values: &Row) -> Result<St
 
 /// A [`MembershipSource`] that issues one SQL membership query per check —
 /// the base system's behaviour, whose cost the KG optimization removes.
-/// Generic over the [`SqlBackend`]: the sequential path targets the live
-/// [`hippo_engine::Database`], the sharded base-mode pipeline targets a
-/// [`hippo_engine::DbSnapshot`].
-pub struct SqlMembership<'a, B: SqlBackend = hippo_engine::Database> {
-    /// The backend to query.
-    pub db: &'a B,
+/// Kept as the test oracle of the prepared-probe path
+/// ([`MemoSqlMembership`]); a [`hippo_engine::Database`] passes as its
+/// read half.
+pub struct SqlMembership<'a> {
+    /// The snapshot to query.
+    pub db: &'a DbSnapshot,
     /// Number of SQL queries issued.
     pub queries_issued: usize,
 }
 
-impl<'a, B: SqlBackend> SqlMembership<'a, B> {
+impl<'a> SqlMembership<'a> {
     /// Constructor.
-    pub fn new(db: &'a B) -> Self {
+    pub fn new(db: &'a DbSnapshot) -> Self {
         SqlMembership {
             db,
             queries_issued: 0,
@@ -310,11 +282,11 @@ impl<'a, B: SqlBackend> SqlMembership<'a, B> {
     }
 }
 
-impl<B: SqlBackend> MembershipSource for SqlMembership<'_, B> {
+impl MembershipSource for SqlMembership<'_> {
     fn fact_in_db(&mut self, rel: &str, values: &Row) -> Result<bool, EngineError> {
         let sql = membership_probe_sql(self.db.catalog(), rel, values)?;
         self.queries_issued += 1;
-        Ok(!self.db.query_rows(&sql)?.is_empty())
+        Ok(!self.db.query(&sql)?.is_empty())
     }
 }
 
@@ -383,7 +355,7 @@ impl PreparedProbe {
 /// construction each literal's probe is compiled once — access path
 /// and all — so the steady state has no SQL text, no parsing, no
 /// binding and no optimization: a memo miss is one
-/// [`hippo_engine::DbSnapshot::run_prepared`] call, which on an
+/// [`DbSnapshot::run_prepared`] call, which on an
 /// indexed relation is a hash-bucket probe (O(1) per candidate) and on
 /// an unindexed one an early-exiting scan. The memo is keyed by
 /// `(literal, projected key values)` and lives for the whole shard, so
@@ -393,7 +365,7 @@ impl PreparedProbe {
 /// list, so `queries_issued` / `memo_hits` / the probe-kind counters
 /// are bit-identical for any worker count.
 pub struct MemoSqlMembership<'a> {
-    snapshot: &'a hippo_engine::DbSnapshot,
+    snapshot: &'a DbSnapshot,
     template: &'a MembershipTemplate,
     /// Per-literal prepared probe plans, parallel to `template.literals`.
     probes: Vec<PreparedProbe>,
@@ -425,7 +397,7 @@ impl<'a> MemoSqlMembership<'a> {
     /// (`false` forces the sequential-scan plans — the pre-optimizer
     /// behaviour, kept for differential tests and ablations).
     pub fn new(
-        snapshot: &'a hippo_engine::DbSnapshot,
+        snapshot: &'a DbSnapshot,
         template: &'a MembershipTemplate,
         use_indexes: bool,
     ) -> Result<Self, EngineError> {

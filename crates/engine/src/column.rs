@@ -52,7 +52,7 @@
 //!
 //! # Eligible shapes and fallback rules
 //!
-//! [`compile`] accepts exactly these physical-plan roots (after
+//! `compile` accepts exactly these physical-plan roots (after
 //! peeling an optional `LimitExec{limit: Some}` and `ProjectExec`):
 //!
 //! * **Select** — `FilterExec?(SeqScan)` where every conjunct is

@@ -5,19 +5,25 @@
 //! queries) and reads back row sets. A direct typed API is also provided
 //! for bulk loading and for the conflict detector's fast paths.
 //!
-//! # Snapshots
+//! # One read surface
 //!
-//! [`Database::snapshot`] freezes the current instance into a
-//! [`DbSnapshot`]: a read-only, `Sync`, cheaply-cloneable handle that
-//! evaluates `SELECT`s against an immutable catalog with **zero
-//! locking**. The database keeps its catalog behind an [`Arc`], so
-//! taking a snapshot is one reference-count bump; the first mutation
-//! *after* a snapshot copies the storage once (copy-on-write via
-//! [`Arc::make_mut`]) and later mutations are free again. Snapshot
-//! statistics are per-snapshot atomics (shared by clones of the same
-//! snapshot), never the live database's counters — which is exactly
-//! what lets many prover shards hammer one snapshot concurrently while
-//! the query-count bookkeeping stays exact.
+//! Every read goes through [`DbSnapshot`]: a read-only, `Sync`,
+//! cheaply-cloneable handle over an immutable catalog plus one atomic
+//! statistics block, which evaluates `SELECT`s with **zero locking**. A
+//! [`Database`] *is* a snapshot plus the statements that mutate it: it
+//! holds its read half as a `DbSnapshot` and derefs to it, so
+//! `db.query(..)`, `db.plan(..)`, `db.explain(..)` and `db.stats()` are
+//! the snapshot's methods, counted in the database's own lineage.
+//!
+//! [`Database::snapshot`] freezes the current instance into a new
+//! `DbSnapshot` that shares the catalog and starts a **fresh** counter
+//! lineage (shared by its clones, never the database's). The catalog
+//! sits behind an [`Arc`], so taking a snapshot is one reference-count
+//! bump; the first mutation *after* a snapshot copies the storage once
+//! (copy-on-write via [`Arc::make_mut`]) and later mutations are free
+//! again. Per-lineage relaxed atomics are what let many prover shards
+//! hammer one snapshot concurrently while the query-count bookkeeping
+//! stays exact.
 
 use crate::bind::{bind_const_expr, bind_query, bind_table_expr, BoundQuery};
 use crate::catalog::Catalog;
@@ -30,6 +36,7 @@ use crate::table::TupleId;
 use crate::value::{Row, Value};
 use hippo_sql::{parse_statement, parse_statements, InsertSource, Statement};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -63,14 +70,16 @@ impl QueryResult {
     }
 }
 
-/// Statistics counters for one `Database` (queries executed, rows read).
-/// Hippo's experiments report the number of membership queries sent to the
-/// backend, so the backend counts every statement it executes.
+/// Statistics counters of one counter lineage — a [`Database`] or a
+/// [`DbSnapshot`] and its clones (queries executed, access paths, rows
+/// per engine). Hippo's experiments report the number of membership
+/// queries sent to the backend, so the backend counts every statement
+/// it executes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbStats {
     /// Queries (SELECT) executed.
     pub queries: usize,
-    /// DML/DDL statements executed.
+    /// DML/DDL statements executed (always 0 on a snapshot).
     pub statements: usize,
     /// Base-table access paths executed through an `IndexLookup`.
     pub index_probes: usize,
@@ -103,7 +112,8 @@ impl fmt::Display for DbStats {
     }
 }
 
-/// An in-memory SQL database.
+/// An in-memory SQL database: a [`DbSnapshot`] (its read half, reached
+/// through `Deref`) plus the statements that mutate it.
 ///
 /// The catalog lives behind an [`Arc`] so [`Database::snapshot`] is a
 /// reference-count bump; mutation goes through [`Arc::make_mut`], which
@@ -111,8 +121,15 @@ impl fmt::Display for DbStats {
 /// (copy-on-write — an unshared database mutates in place as before).
 #[derive(Debug, Default)]
 pub struct Database {
-    catalog: Arc<Catalog>,
-    stats: std::cell::Cell<DbStats>,
+    read: DbSnapshot,
+}
+
+impl Deref for Database {
+    type Target = DbSnapshot;
+
+    fn deref(&self) -> &DbSnapshot {
+        &self.read
+    }
 }
 
 impl Database {
@@ -127,73 +144,30 @@ impl Database {
     /// serial system and compare answers bit-for-bit.
     pub fn from_catalog(catalog: Catalog) -> Database {
         Database {
-            catalog: Arc::new(catalog),
-            stats: Default::default(),
+            read: DbSnapshot {
+                catalog: Arc::new(catalog),
+                stats: Arc::default(),
+            },
         }
-    }
-
-    /// Read access to the catalog (used by conflict detection fast paths).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     /// Mutable access to the catalog. Copy-on-write: if a
     /// [`DbSnapshot`] still shares the storage, the catalog is cloned
     /// once here; otherwise this is a plain borrow.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
-        Arc::make_mut(&mut self.catalog)
+        Arc::make_mut(&mut self.read.catalog)
     }
 
     /// Freeze the current instance into a read-only, `Sync`,
-    /// cheaply-cloneable snapshot. Cost: one `Arc` clone — no row is
-    /// copied now; the *next* mutation of this database pays a one-time
-    /// catalog copy instead (copy-on-write).
+    /// cheaply-cloneable snapshot with a fresh statistics lineage.
+    /// Cost: one `Arc` clone — no row is copied now; the *next*
+    /// mutation of this database pays a one-time catalog copy instead
+    /// (copy-on-write).
     pub fn snapshot(&self) -> DbSnapshot {
         DbSnapshot {
-            catalog: Arc::clone(&self.catalog),
-            stats: Arc::new(SnapshotStats::default()),
+            catalog: Arc::clone(&self.read.catalog),
+            stats: Arc::default(),
         }
-    }
-
-    /// Execution statistics so far.
-    pub fn stats(&self) -> DbStats {
-        self.stats.get()
-    }
-
-    /// Reset statistics counters.
-    pub fn reset_stats(&self) {
-        self.stats.set(DbStats::default());
-    }
-
-    fn bump_queries(&self) {
-        let mut s = self.stats.get();
-        s.queries += 1;
-        self.stats.set(s);
-    }
-
-    fn bump_statements(&self) {
-        let mut s = self.stats.get();
-        s.statements += 1;
-        self.stats.set(s);
-    }
-
-    fn bump_probes(&self, index_probes: usize, scan_probes: usize) {
-        let mut s = self.stats.get();
-        s.index_probes += index_probes;
-        s.scan_probes += scan_probes;
-        self.stats.set(s);
-    }
-
-    /// Fold the engine-choice counters one executed query accumulated
-    /// in its [`EvalEnv`] into the database statistics. Folded even
-    /// when the execution errored: the counters describe work actually
-    /// performed, which happens before a budget trip or type error.
-    fn bump_exec_counters(&self, env: &EvalEnv<'_>) {
-        let mut s = self.stats.get();
-        s.batches_executed += env.vec_batches as usize;
-        s.vectorized_rows += env.vec_rows as usize;
-        s.rowmode_rows += env.rowmode_rows as usize;
-        self.stats.set(s);
     }
 
     /// Execute one SQL statement.
@@ -212,97 +186,8 @@ impl Database {
         Ok(last)
     }
 
-    /// Run a query (read-only) and return its result set.
-    pub fn query(&self, sql: &str) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast(&q)
-    }
-
-    /// Run an already-parsed query: bind, optimize, lower to a physical
-    /// plan (access-path selection picks hash indexes where they cover
-    /// the predicate) and execute.
-    pub fn run_query_ast(&self, q: &hippo_sql::Query) -> Result<QueryResult, EngineError> {
-        self.run_query_ast_governed(q, None, "engine")
-    }
-
-    /// [`Database::query`] under an optional resource [`crate::budget::Budget`]:
-    /// the executor charges rows against it and unwinds with a
-    /// structured `Budget`/`Cancelled` error (reported as `stage`) when
-    /// it is exhausted. `budget = None` is exactly the ungoverned call.
-    pub fn query_governed(
-        &self,
-        sql: &str,
-        budget: Option<&crate::budget::Budget>,
-        stage: &'static str,
-    ) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast_governed(&q, budget, stage)
-    }
-
-    /// Governed core of [`Database::run_query_ast`].
-    pub fn run_query_ast_governed(
-        &self,
-        q: &hippo_sql::Query,
-        budget: Option<&crate::budget::Budget>,
-        stage: &'static str,
-    ) -> Result<QueryResult, EngineError> {
-        self.bump_queries();
-        let bound = bind_query(&self.catalog, q)?;
-        let plan = optimize(bound.plan, &self.catalog)?;
-        let plan = crate::optimize::physicalize(plan, &self.catalog);
-        let (idx, scan) = plan.access_paths();
-        self.bump_probes(idx, scan);
-        let mut env = EvalEnv::new(&self.catalog);
-        if let Some(b) = budget {
-            env.set_budget(b, stage);
-        }
-        let rows = execute_physical(&plan, &mut env);
-        env.flush_budget();
-        self.bump_exec_counters(&env);
-        Ok(QueryResult {
-            columns: bound.columns,
-            rows: rows?,
-        })
-    }
-
-    /// Plan a query without executing it (diagnostics / tests). Returns
-    /// the **optimized logical** plan — the input of physical lowering
-    /// and the reference the differential tests execute.
-    pub fn plan(&self, sql: &str) -> Result<BoundQuery, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        let bound = bind_query(&self.catalog, &q)?;
-        let plan = optimize(bound.plan, &self.catalog)?;
-        Ok(BoundQuery {
-            plan,
-            columns: bound.columns,
-        })
-    }
-
-    /// The physical plan a query would execute as (diagnostics / tests).
-    pub fn physical_plan(&self, sql: &str) -> Result<PhysicalPlan, EngineError> {
-        let bound = self.plan(sql)?;
-        Ok(crate::optimize::physicalize(bound.plan, &self.catalog))
-    }
-
-    /// `EXPLAIN`-style rendering of the physical plan a query would
-    /// execute as: one operator per line, children indented — the
-    /// chosen access path (`IndexLookup` vs `SeqScan`) is visible at
-    /// the leaves, and a trailing `execution:` line reports whether the
-    /// vectorized engine ([`crate::column`]) or the row-at-a-time
-    /// operators would run the plan. Also reachable as a real SQL
-    /// statement: `EXPLAIN SELECT …` through [`Database::execute`].
-    pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
-        let plan = self.physical_plan(sql)?;
-        Ok(render_explain(&plan, &self.catalog))
+    fn bump_statements(&self) {
+        self.stats.statements.fetch_add(1, Ordering::Relaxed);
     }
 
     fn execute_statement(&mut self, stmt: &Statement) -> Result<ExecResult, EngineError> {
@@ -310,10 +195,8 @@ impl Database {
             Statement::Select(q) => Ok(ExecResult::Rows(self.run_query_ast(q)?)),
             Statement::Explain(q) => {
                 // Plans but never executes: no query/probe counters move,
-                // mirroring the diagnostic `Database::explain` API.
-                let bound = bind_query(&self.catalog, q)?;
-                let plan = optimize(bound.plan, &self.catalog)?;
-                let plan = crate::optimize::physicalize(plan, &self.catalog);
+                // mirroring the diagnostic `DbSnapshot::explain` API.
+                let plan = crate::optimize::physicalize(self.plan_ast(q)?.plan, &self.catalog);
                 Ok(ExecResult::Rows(explain_result(&plan, &self.catalog)))
             }
             Statement::CreateTable(ct) => {
@@ -539,16 +422,6 @@ impl Database {
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<usize, EngineError> {
         self.insert_rows_ordered(table, &[], rows)
     }
-
-    /// Evaluate a logical plan that was produced by [`Database::plan`]
-    /// through the **reference executor** (no physical lowering, no
-    /// index access paths). The differential tests run this against
-    /// [`Database::query`] to check the optimized path row-for-row.
-    pub fn run_plan(&self, plan: &LogicalPlan) -> Result<Vec<Row>, EngineError> {
-        self.bump_queries();
-        let mut env = EvalEnv::new(&self.catalog);
-        execute(plan, &mut env)
-    }
 }
 
 /// Render a physical plan `EXPLAIN`-style: the operator tree (one line
@@ -580,10 +453,12 @@ fn explain_result(plan: &PhysicalPlan, catalog: &Catalog) -> QueryResult {
     }
 }
 
-/// Atomic statistics of one snapshot lineage (shared by clones).
+/// Atomic statistics of one counter lineage, shared by the clones of
+/// a snapshot (a [`Database`]'s own read half is a lineage too).
 #[derive(Debug, Default)]
-struct SnapshotStats {
+struct StatsBlock {
     queries: AtomicUsize,
+    statements: AtomicUsize,
     index_probes: AtomicUsize,
     scan_probes: AtomicUsize,
     batches_executed: AtomicUsize,
@@ -591,148 +466,110 @@ struct SnapshotStats {
     rowmode_rows: AtomicUsize,
 }
 
-/// A point-in-time copy of a snapshot lineage's statistics (see
-/// [`DbSnapshot::stats`]): queries evaluated and how their base-table
-/// access paths executed — `index_probes` counts `IndexLookup` sources,
-/// `scan_probes` sequential scans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotStatsView {
-    /// `SELECT`s evaluated against this snapshot lineage (all clones).
-    pub queries: usize,
-    /// Base-table access paths executed through an `IndexLookup`.
-    pub index_probes: usize,
-    /// Base-table access paths executed as sequential scans.
-    pub scan_probes: usize,
-    /// Column batches pushed through the vectorized engine. Prepared
-    /// probes ([`DbSnapshot::run_prepared`]) are deliberately not
-    /// profiled per-row — they are sub-microsecond and counted by the
-    /// `queries` / probe counters alone.
-    pub batches_executed: usize,
-    /// Rows evaluated batch-at-a-time by the vectorized engine.
-    pub vectorized_rows: usize,
-    /// Rows streamed through the row-at-a-time physical operators.
-    pub rowmode_rows: usize,
-}
-
-impl fmt::Display for SnapshotStatsView {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "queries={} index_probes={} scan_probes={} \
-             batches_executed={} vectorized_rows={} rowmode_rows={}",
-            self.queries,
-            self.index_probes,
-            self.scan_probes,
-            self.batches_executed,
-            self.vectorized_rows,
-            self.rowmode_rows
-        )
+/// Relaxed add that skips zero, so counters that did not move never
+/// touch the shared cache line.
+fn add(counter: &AtomicUsize, n: usize) {
+    if n > 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 
-/// A read-only, `Sync`, cheaply-cloneable frozen view of a database.
+/// A read-only, `Sync`, cheaply-cloneable view of a database: the one
+/// read surface of the engine.
 ///
-/// Produced by [`Database::snapshot`]. The catalog is immutable and
-/// `Arc`-shared — later mutations of the originating database
-/// copy-on-write their own storage and never show through here — so any
-/// number of threads can evaluate `SELECT`s against one snapshot
-/// concurrently with **zero locking** on the read path (the only shared
-/// mutable state is the relaxed query counter). Cloning a snapshot is
-/// two reference-count bumps; clones share the same counter.
-#[derive(Debug, Clone)]
+/// Produced by [`Database::snapshot`], and also the read half every
+/// [`Database`] derefs to. The catalog is immutable and `Arc`-shared —
+/// later mutations of the originating database copy-on-write their own
+/// storage and never show through here — so any number of threads can
+/// evaluate `SELECT`s against one snapshot concurrently with **zero
+/// locking** on the read path (the only shared mutable state is the
+/// relaxed statistics block). Cloning a snapshot is two reference-count
+/// bumps; clones share the same counters.
+#[derive(Debug, Clone, Default)]
 pub struct DbSnapshot {
     catalog: Arc<Catalog>,
-    stats: Arc<SnapshotStats>,
+    stats: Arc<StatsBlock>,
 }
 
 impl DbSnapshot {
-    /// Read access to the frozen catalog.
+    /// Read access to the catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
 
-    /// `SELECT` queries evaluated against this snapshot lineage so far
-    /// (summed over all clones).
-    pub fn queries_executed(&self) -> usize {
-        self.stats.queries.load(Ordering::Relaxed)
+    /// This lineage's statistics so far (summed over all clones):
+    /// queries, the `index_probes` / `scan_probes` split of their access
+    /// paths and the engine-choice counters. `statements` counts the
+    /// owning [`Database`]'s DML/DDL and is always 0 on a snapshot.
+    pub fn stats(&self) -> DbStats {
+        let s = &*self.stats;
+        let load = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+        DbStats {
+            queries: load(&s.queries),
+            statements: load(&s.statements),
+            index_probes: load(&s.index_probes),
+            scan_probes: load(&s.scan_probes),
+            batches_executed: load(&s.batches_executed),
+            vectorized_rows: load(&s.vectorized_rows),
+            rowmode_rows: load(&s.rowmode_rows),
+        }
     }
 
-    /// This snapshot lineage's statistics so far (summed over all
-    /// clones): queries plus the `index_probes` / `scan_probes` split
-    /// of their access paths.
-    pub fn stats(&self) -> SnapshotStatsView {
-        SnapshotStatsView {
-            queries: self.stats.queries.load(Ordering::Relaxed),
-            index_probes: self.stats.index_probes.load(Ordering::Relaxed),
-            scan_probes: self.stats.scan_probes.load(Ordering::Relaxed),
-            batches_executed: self.stats.batches_executed.load(Ordering::Relaxed),
-            vectorized_rows: self.stats.vectorized_rows.load(Ordering::Relaxed),
-            rowmode_rows: self.stats.rowmode_rows.load(Ordering::Relaxed),
+    /// Reset this lineage's statistics counters.
+    pub fn reset_stats(&self) {
+        let s = &*self.stats;
+        for c in [
+            &s.queries,
+            &s.statements,
+            &s.index_probes,
+            &s.scan_probes,
+            &s.batches_executed,
+            &s.vectorized_rows,
+            &s.rowmode_rows,
+        ] {
+            c.store(0, Ordering::Relaxed);
         }
     }
 
     fn bump_probes(&self, index_probes: usize, scan_probes: usize) {
-        if index_probes > 0 {
-            self.stats
-                .index_probes
-                .fetch_add(index_probes, Ordering::Relaxed);
-        }
-        if scan_probes > 0 {
-            self.stats
-                .scan_probes
-                .fetch_add(scan_probes, Ordering::Relaxed);
-        }
+        add(&self.stats.index_probes, index_probes);
+        add(&self.stats.scan_probes, scan_probes);
     }
 
-    /// Fold one executed query's engine-choice counters (see
-    /// [`Database::bump_exec_counters`]); relaxed adds, zero skipped to
-    /// avoid touching the shared cache line for counters that did not
-    /// move.
+    /// Fold the engine-choice counters one executed query accumulated
+    /// in its [`EvalEnv`]. Folded even when the execution errored: the
+    /// counters describe work actually performed, which happens before
+    /// a budget trip or type error.
     fn bump_exec_counters(&self, env: &EvalEnv<'_>) {
-        if env.vec_batches > 0 {
-            self.stats
-                .batches_executed
-                .fetch_add(env.vec_batches as usize, Ordering::Relaxed);
-        }
-        if env.vec_rows > 0 {
-            self.stats
-                .vectorized_rows
-                .fetch_add(env.vec_rows as usize, Ordering::Relaxed);
-        }
-        if env.rowmode_rows > 0 {
-            self.stats
-                .rowmode_rows
-                .fetch_add(env.rowmode_rows as usize, Ordering::Relaxed);
-        }
+        add(&self.stats.batches_executed, env.vec_batches as usize);
+        add(&self.stats.vectorized_rows, env.vec_rows as usize);
+        add(&self.stats.rowmode_rows, env.rowmode_rows as usize);
     }
 
     /// Run a query (read-only) and return its result set.
     pub fn query(&self, sql: &str) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast(&q)
+        self.query_governed(sql, None, "engine")
     }
 
-    /// Run an already-parsed query through the physical executor.
+    /// Run an already-parsed query: bind, optimize, lower to a physical
+    /// plan (access-path selection picks hash indexes where they cover
+    /// the predicate) and execute.
     pub fn run_query_ast(&self, q: &hippo_sql::Query) -> Result<QueryResult, EngineError> {
         self.run_query_ast_governed(q, None, "engine")
     }
 
     /// [`DbSnapshot::query`] under an optional resource
-    /// [`crate::budget::Budget`] (see [`Database::query_governed`]).
+    /// [`crate::budget::Budget`]: the executor charges rows against it
+    /// and unwinds with a structured `Budget`/`Cancelled` error
+    /// (reported as `stage`) when it is exhausted. `budget = None` is
+    /// exactly the ungoverned call.
     pub fn query_governed(
         &self,
         sql: &str,
         budget: Option<&crate::budget::Budget>,
         stage: &'static str,
     ) -> Result<QueryResult, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        self.run_query_ast_governed(&q, budget, stage)
+        self.run_query_ast_governed(&parse_select(sql)?, budget, stage)
     }
 
     /// Governed core of [`DbSnapshot::run_query_ast`].
@@ -743,9 +580,8 @@ impl DbSnapshot {
         stage: &'static str,
     ) -> Result<QueryResult, EngineError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let bound = bind_query(&self.catalog, q)?;
-        let plan = optimize(bound.plan, &self.catalog)?;
-        let plan = crate::optimize::physicalize(plan, &self.catalog);
+        let bound = self.plan_ast(q)?;
+        let plan = crate::optimize::physicalize(bound.plan, &self.catalog);
         let (idx, scan) = plan.access_paths();
         self.bump_probes(idx, scan);
         let mut env = EvalEnv::new(&self.catalog);
@@ -761,14 +597,15 @@ impl DbSnapshot {
         })
     }
 
-    /// Plan a query against the frozen catalog without executing it
-    /// (the optimized **logical** plan; see [`Database::plan`]).
+    /// Plan a query without executing it (diagnostics / tests). Returns
+    /// the **optimized logical** plan — the input of physical lowering
+    /// and the reference the differential tests execute.
     pub fn plan(&self, sql: &str) -> Result<BoundQuery, EngineError> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(q) = stmt else {
-            return Err(EngineError::new("expected a SELECT statement"));
-        };
-        let bound = bind_query(&self.catalog, &q)?;
+        self.plan_ast(&parse_select(sql)?)
+    }
+
+    fn plan_ast(&self, q: &hippo_sql::Query) -> Result<BoundQuery, EngineError> {
+        let bound = bind_query(&self.catalog, q)?;
         let plan = optimize(bound.plan, &self.catalog)?;
         Ok(BoundQuery {
             plan,
@@ -776,24 +613,31 @@ impl DbSnapshot {
         })
     }
 
-    /// The physical plan a query would execute as against this
-    /// snapshot's catalog.
+    /// The physical plan a query would execute as (diagnostics / tests).
     pub fn physical_plan(&self, sql: &str) -> Result<PhysicalPlan, EngineError> {
         let bound = self.plan(sql)?;
         Ok(crate::optimize::physicalize(bound.plan, &self.catalog))
     }
 
-    /// `EXPLAIN`-style rendering (see [`Database::explain`]).
+    /// `EXPLAIN`-style rendering of the physical plan a query would
+    /// execute as: one operator per line, children indented — the
+    /// chosen access path (`IndexLookup` vs `SeqScan`) is visible at
+    /// the leaves, and a trailing `execution:` line reports whether the
+    /// vectorized engine ([`crate::column`]) or the row-at-a-time
+    /// operators would run the plan. Also reachable as a real SQL
+    /// statement: `EXPLAIN SELECT …` through [`Database::execute`].
     pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
         let plan = self.physical_plan(sql)?;
         Ok(render_explain(&plan, &self.catalog))
     }
 
-    /// Evaluate a logical plan that was bound against this snapshot's
-    /// catalog through the reference executor.
+    /// Evaluate a logical plan produced by [`DbSnapshot::plan`] through
+    /// the **reference executor** (no physical lowering, no index
+    /// access paths). The differential tests run this against
+    /// [`DbSnapshot::query`] to check the optimized path row-for-row.
     pub fn run_plan(&self, plan: &LogicalPlan) -> Result<Vec<Row>, EngineError> {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        crate::exec::execute_read_only(plan, &self.catalog)
+        execute(plan, &mut EvalEnv::new(&self.catalog))
     }
 
     /// Re-execute a **prepared physical plan** with the given parameter
@@ -804,9 +648,11 @@ impl DbSnapshot {
     /// bucket probe plus a bounded pipeline, with no SQL text, parsing,
     /// binding or optimization anywhere.
     ///
-    /// Statistics note: this bumps the shared snapshot counters per
-    /// call. A worker issuing thousands of sub-microsecond probes from
-    /// many threads should instead execute through
+    /// Statistics note: this bumps the shared counters per call, but
+    /// does not profile rows per engine — prepared probes are
+    /// sub-microsecond and counted by `queries` and the probe counters
+    /// alone. A worker issuing thousands of them from many threads
+    /// should instead execute through
     /// [`crate::exec::execute_physical_params`] against
     /// [`DbSnapshot::catalog`] directly, count locally, and fold its
     /// totals in with one [`DbSnapshot::record_prepared`] at the end —
@@ -824,12 +670,18 @@ impl DbSnapshot {
     }
 
     /// Fold a batch of locally-counted prepared executions into this
-    /// snapshot lineage's statistics (see [`DbSnapshot::run_prepared`]).
+    /// lineage's statistics (see [`DbSnapshot::run_prepared`]).
     pub fn record_prepared(&self, queries: usize, index_probes: usize, scan_probes: usize) {
-        if queries > 0 {
-            self.stats.queries.fetch_add(queries, Ordering::Relaxed);
-        }
+        add(&self.stats.queries, queries);
         self.bump_probes(index_probes, scan_probes);
+    }
+}
+
+/// Parse `sql` as one `SELECT` (the read surface accepts nothing else).
+fn parse_select(sql: &str) -> Result<hippo_sql::Query, EngineError> {
+    match parse_statement(sql)? {
+        Statement::Select(q) => Ok(q),
+        _ => Err(EngineError::new("expected a SELECT statement")),
     }
 }
 
@@ -1091,8 +943,26 @@ mod tests {
         let clone = snap.clone();
         snap.query("SELECT * FROM emp").unwrap();
         clone.query("SELECT * FROM emp").unwrap();
-        assert_eq!(snap.queries_executed(), 2, "clones share the counter");
+        assert_eq!(snap.stats().queries, 2, "clones share the counter");
         assert_eq!(db.stats().queries, 0, "live stats untouched");
+    }
+
+    #[test]
+    fn database_reads_count_in_its_own_lineage() {
+        let mut db = db();
+        let stats = db.stats();
+        assert_eq!((stats.queries, stats.statements), (0, 2));
+        db.query("SELECT * FROM emp").unwrap();
+        let snap = db.snapshot();
+        assert_eq!(snap.stats(), DbStats::default(), "fresh lineage");
+        snap.query("SELECT * FROM emp").unwrap();
+        db.execute("DELETE FROM emp WHERE name = 'ann'").unwrap();
+        let (live, frozen) = (db.stats(), snap.stats());
+        assert_eq!((live.queries, live.statements), (1, 3));
+        assert_eq!((frozen.queries, frozen.statements), (1, 0));
+        db.reset_stats();
+        assert_eq!(db.stats(), DbStats::default());
+        assert_eq!(snap.stats().queries, 1, "reset is per lineage");
     }
 
     #[test]

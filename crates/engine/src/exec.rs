@@ -21,7 +21,7 @@
 //!
 //! Since PR 10 the physical executor is two-engined: before walking an
 //! operator row-wise, [`execute_physical`] offers the whole subtree to
-//! the **vectorized** compiler ([`crate::column::try_execute`]), which
+//! the **vectorized** compiler (`column::try_execute`), which
 //! runs eligible scan/aggregate/join shapes batch-at-a-time over the
 //! table's [`crate::column::ColumnStore`]:
 //!
@@ -48,12 +48,18 @@
 //! rules and the charging-parity contract.
 //!
 //! Execution never mutates the catalog: all run state (the enclosing-row
-//! stack, the correlated-`EXISTS` memo, prepared-parameter bindings)
-//! lives in the per-call [`EvalEnv`], which each invocation owns
-//! privately. That is what makes [`execute_physical_read_only`] — the
-//! [`crate::db::DbSnapshot`] entry point — safe to call from many
-//! threads over one shared `&Catalog` with no locking: each caller gets
-//! a fresh environment on its own stack.
+//! stack, the correlated-`EXISTS` memo, prepared-parameter bindings,
+//! the optional budget) lives in the per-call [`EvalEnv`], which each
+//! invocation owns privately. So any number of threads may execute
+//! over one shared `&Catalog` with no locking. The entry points:
+//!
+//! * [`execute_physical`] / [`execute`] — over a caller-built
+//!   [`EvalEnv`]; [`crate::db::DbSnapshot`] (the read surface that
+//!   every [`crate::db::Database`] derefs to) builds one per query and
+//!   folds its counters into the snapshot's statistics;
+//! * [`execute_physical_params`] / [`execute_physical_params_governed`]
+//!   — a prepared, parameterised plan against a catalog, the base-mode
+//!   membership probe path (optionally under a budget).
 
 use crate::expr::{eval, BoundExpr, EvalEnv};
 use crate::plan::{AggExpr, AggFunc, JoinType, LogicalPlan, PhysicalPlan};
@@ -209,17 +215,6 @@ pub fn execute(plan: &LogicalPlan, env: &mut EvalEnv<'_>) -> Result<Vec<Row>, En
             Ok(limit_slice(rows, *limit, *offset))
         }
     }
-}
-
-/// Evaluate a logical plan against a shared read-only catalog (the
-/// reference path). Builds a private [`EvalEnv`] on this call's stack,
-/// so concurrent callers over the same catalog never contend.
-pub fn execute_read_only(
-    plan: &LogicalPlan,
-    catalog: &crate::catalog::Catalog,
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::new(catalog);
-    execute(plan, &mut env)
 }
 
 /// Execute a physical plan within an environment.
@@ -397,18 +392,6 @@ pub fn execute_physical(
     }
 }
 
-/// Evaluate a physical plan against a shared read-only catalog: the
-/// snapshot entry point. Builds a private [`EvalEnv`] (enclosing-row
-/// stack + `EXISTS` memo) on this call's stack, so concurrent callers
-/// over the same catalog never contend on anything.
-pub fn execute_physical_read_only(
-    plan: &PhysicalPlan,
-    catalog: &crate::catalog::Catalog,
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::new(catalog);
-    execute_physical(plan, &mut env)
-}
-
 /// Evaluate a prepared (parameterised) physical plan against a shared
 /// read-only catalog: `params` binds the plan's [`BoundExpr::Param`]
 /// placeholders. One compiled probe plan is re-executed here per
@@ -422,26 +405,9 @@ pub fn execute_physical_params(
     execute_physical(plan, &mut env)
 }
 
-/// [`execute_physical_read_only`] under a resource [`Budget`]: the
-/// executor's streaming loops charge rows against `budget` and unwind
-/// with a structured `Budget`/`Cancelled` error (reported as `stage`)
-/// when it is exhausted.
-pub fn execute_physical_governed(
-    plan: &PhysicalPlan,
-    catalog: &crate::catalog::Catalog,
-    budget: &crate::budget::Budget,
-    stage: &'static str,
-) -> Result<Vec<Row>, EngineError> {
-    let mut env = EvalEnv::new(catalog);
-    env.set_budget(budget, stage);
-    let res = execute_physical(plan, &mut env);
-    env.flush_budget();
-    res
-}
-
-/// [`execute_physical_params`] under an optional resource [`Budget`]
-/// (the governed membership-probe path; `budget = None` is exactly the
-/// ungoverned call).
+/// [`execute_physical_params`] under an optional resource
+/// [`crate::budget::Budget`] (the governed membership-probe path;
+/// `budget = None` is exactly the ungoverned call).
 pub fn execute_physical_params_governed(
     plan: &PhysicalPlan,
     catalog: &crate::catalog::Catalog,

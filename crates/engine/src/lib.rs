@@ -6,8 +6,10 @@
 //!
 //! The engine offers:
 //!
-//! * a [`Database`] facade: SQL text in, rows out ([`Database::execute`],
-//!   [`Database::query`]), plus bulk-load and direct catalog access;
+//! * a [`Database`] facade: SQL text in, rows out ([`Database::execute`]
+//!   for any statement; `SELECT`s through its read half, the
+//!   [`DbSnapshot`] it derefs to — [`DbSnapshot::query`]), plus
+//!   bulk-load and direct catalog access;
 //! * a name-resolving binder ([`bind`]) lowering the `hippo-sql` AST to
 //!   [`plan::LogicalPlan`]s;
 //! * a two-stage optimizer ([`optimize`]): logical rewrites (constant
@@ -21,7 +23,7 @@
 //!   scalar subqueries — plus the fully materialising logical
 //!   reference executor ([`exec::execute`]) it is differentially
 //!   tested against;
-//! * a **vectorized engine** ([`column`]): lazily maintained typed
+//! * a **vectorized engine** ([`mod@column`]): lazily maintained typed
 //!   column stores per table (validity bitmaps, dictionary-encoded
 //!   text) and batch-at-a-time filter/project/aggregate/hash-join
 //!   over selection vectors, bit-identical to row mode (answers,
@@ -62,7 +64,7 @@ pub use column::{
     columnar_enabled, plan_uses_vectorized, set_columnar_override, ColumnBatch, ColumnData,
     ColumnStore, ColumnVector, BATCH_ROWS,
 };
-pub use db::{Database, DbSnapshot, DbStats, ExecResult, QueryResult, SnapshotStatsView};
+pub use db::{Database, DbSnapshot, DbStats, ExecResult, QueryResult};
 pub use expr::BoundExpr;
 pub use optimize::{physicalize, physicalize_with, PhysicalOptions};
 pub use plan::{LogicalPlan, PhysicalPlan};

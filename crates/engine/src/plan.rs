@@ -280,8 +280,8 @@ impl LogicalPlan {
 
 // Plans are pure owned data (no interior mutability, no borrows), so a
 // plan bound once — e.g. against a [`crate::db::DbSnapshot`]'s catalog —
-// may be evaluated concurrently from many threads via
-// [`crate::exec::execute_read_only`]. Compile-time proof.
+// may be evaluated concurrently from many threads, each with its own
+// `EvalEnv`. Compile-time proof.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<LogicalPlan>();

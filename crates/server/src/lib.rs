@@ -1429,7 +1429,10 @@ impl Session {
         self.requests += 1;
         let (_permit, options) = self.admit(arrival)?;
         let gov = options.governance();
-        self.epoch.frozen.query_governed(sql, gov.budget_ref())
+        self.epoch
+            .frozen
+            .snapshot()
+            .query_governed(sql, gov.budget_ref(), "engine")
     }
 
     /// Compute consistent answers on the pinned epoch (sorted rows).

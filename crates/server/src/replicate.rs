@@ -557,9 +557,9 @@ impl ReplState {
 
 /// A read replica: replays the primary's committed WAL frames into its
 /// own published epochs. Serves reads and CQA (with surfaced
-/// [`Staleness`]), refuses writes with [`ErrorKind::NotPrimary`]
-/// (hippo_engine::ErrorKind::NotPrimary), and can be promoted to a
-/// fresh primary with a bumped fencing term.
+/// [`Staleness`]), refuses writes with
+/// [`ErrorKind::NotPrimary`](hippo_engine::ErrorKind::NotPrimary), and
+/// can be promoted to a fresh primary with a bumped fencing term.
 pub struct Replica {
     state: Arc<ReplState>,
     attach_tx: mpsc::Sender<Box<dyn Transport>>,
@@ -789,7 +789,10 @@ impl ReplicaSession {
     /// Run a plain SQL `SELECT` against the pinned epoch.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
         let gov = self.options.governance();
-        self.epoch.frozen.query_governed(sql, gov.budget_ref())
+        self.epoch
+            .frozen
+            .snapshot()
+            .query_governed(sql, gov.budget_ref(), "engine")
     }
 
     /// Compute consistent answers on the pinned epoch (sorted rows).

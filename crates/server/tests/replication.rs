@@ -104,6 +104,22 @@ fn wait_caught_up(primary: &Engine, replica: &Replica, deadline: Duration) {
     }
 }
 
+/// Spin until the replica holds a state (its join snapshot has
+/// loaded), or fail loudly. Writes issued after this stream as frames
+/// instead of being absorbed by the join snapshot.
+fn wait_has_state(replica: &Replica, deadline: Duration) {
+    let start = Instant::now();
+    while !replica.stats().has_state {
+        if let Some(e) = replica.broken() {
+            panic!("replica broke while joining: {e}");
+        }
+        if start.elapsed() > deadline {
+            panic!("replica never loaded a state: {}", replica.stats());
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 fn primary_answers(eng: &Engine) -> Vec<Row> {
     eng.session().consistent_answers(&query()).unwrap()
 }
@@ -124,6 +140,7 @@ fn replica_follows_and_answers_bit_identically() {
     let (a, b) = ChannelTransport::pair();
     let replica = Replica::start(Box::new(b), replica_config(21));
     eng.attach_replica(Box::new(a)).unwrap();
+    wait_has_state(&replica, Duration::from_secs(10));
 
     // Writes that insert (with conflicts), update and delete.
     eng.write(vec![insert(conflict_pair(1_000_000))]).unwrap();
@@ -167,8 +184,7 @@ fn replica_follows_and_answers_bit_identically() {
     let rs = replica.stats();
     assert!(rs.has_state, "{rs}");
     assert!(!rs.broken, "{rs}");
-    // The initial snapshot may absorb early frames (attach races the
-    // first write), but at least one frame must have streamed.
+    // The writes followed the join snapshot, so they streamed.
     assert!(rs.frames_applied >= 1, "{rs}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
